@@ -13,7 +13,7 @@ from .grid import FieldGrid
 from .lattice import Boundary, Lattice, Rod, RodMode, dispersion, dual_modes, rod_partition
 from .params import (ModelParams, RescaledParams, beta_threshold, epsilon_of_m,
                      field_threshold, mass_threshold, rescale, unrescale)
-from .potential import PotentialParams, auxiliary_potential, nth_derivative
+from .potential import auxiliary_potential, nth_derivative
 from .sampler import (BoundaryCondition, Ensemble, EstimatorResult,
                       FieldConfiguration, expectation, sample_gaussian_field)
 
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Boundary", "BoundaryCondition", "CovarianceKernel", "Ensemble",
     "EstimatorResult", "FieldConfiguration", "FieldGrid",
-    "InterpolatedCovariance", "Lattice", "ModelParams", "PotentialParams",
+    "InterpolatedCovariance", "Lattice", "ModelParams",
     "RescaledParams", "Rod", "RodMode", "auxiliary_potential",
     "beta_threshold", "convex_decomposition", "dispersion", "dual_modes",
     "epsilon_of_m", "expectation", "field_threshold", "mass_threshold",

@@ -26,7 +26,7 @@ from .covariance import CovarianceKernel
 from .lattice import Boundary, Lattice, RodMode
 from .params import (ModelParams, beta_threshold, epsilon_of_m, field_threshold,
                      mass_threshold, rescale)
-from .sampler import (BoundaryCondition, BoundaryKind, Ensemble, expectation,
+from .sampler import (BoundaryCondition, Ensemble, expectation,
                       periodic_bc, tempered_bc, zero_bc)
 
 _PHI_TERM = re.compile(r"phi\[\s*(-?\d+)\s*,\s*([0-9.eE+-]+)\s*,\s*(\d+)\s*\]")
@@ -179,7 +179,7 @@ def cmd_oracle(cfg: dict, out_dir: Path, args) -> int:
 
 def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
     from .cluster import (ClusterInstance, battle_federbush_sum, enumerate_trees,
-                          newton_leibniz_report, truncated_expansion)
+                          newton_leibniz_report, residual_decay_report)
 
     check = args.check or "trees"
     if check == "trees":
@@ -230,15 +230,16 @@ def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
             }
             payload["ok"] = payload["sigma_gap"] < 4.0
         else:
-            rep = truncated_expansion(inst, cfg.get("n_max", cfg["order"]),
-                                      cfg["samples"], cfg["seed"])
+            rep = residual_decay_report(inst, cfg.get("n_max", cfg["order"]),
+                                        cfg["samples"], cfg["samples"], cfg["seed"])
+            # every drop must be resolved by 3 combined standard errors
             payload = {
                 "direct": rep.direct,
                 "orders": rep.orders,
                 "partial_sums": rep.partial_sums,
                 "residuals": rep.residuals,
-                "ok": all(rep.residuals[i][0] > rep.residuals[i + 1][0]
-                          for i in range(len(rep.residuals) - 1)),
+                "ok": all(hi - lo >= 3.0 * math.hypot(dhi, dlo)
+                          for (hi, dhi), (lo, dlo) in zip(rep.residuals, rep.residuals[1:])),
             }
     else:
         raise ConfigError(f"unknown cluster check {check!r}")
@@ -329,8 +330,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint for inner modules (dispatch stays serial)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     sub.add_parser("thresholds")
@@ -379,7 +378,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 _CONFIG_OVERRIDE_KEYS = ("seed", "samples", "slices_per_unit", "backend",
                          "observable", "bc", "mode", "order", "n_max", "nu",
-                         "boundary", "threads")
+                         "boundary")
 
 
 def main(argv=None) -> int:

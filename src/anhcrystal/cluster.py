@@ -39,7 +39,8 @@ from scipy.stats import qmc
 from .covariance import p_matrix
 from .grid import FieldGrid
 from .lattice import RodMode, RodPartition, rod_partition
-from .sampler import Ensemble
+from .sampler import (N_BATCHES, Ensemble, accumulate, jackknife, jackknife_replicates,
+                      replicate_stderr)
 
 MAX_TREE_ORDER = 8
 MAX_BF_ORDER = 7
@@ -445,16 +446,21 @@ def gaussian_bump_mean(mean, var, delta_m: float):
     return np.exp(-0.5 * delta_m * mean ** 2 / spread) / np.sqrt(spread)
 
 
-def _mean_stderr(values: np.ndarray, n_batches: int) -> tuple[float, float]:
-    """Sample mean and the standard error from consecutive batch means."""
-    means = values.reshape(n_batches, -1).mean(axis=1)
-    return float(values.mean()), float(np.std(means, ddof=1) / math.sqrt(n_batches))
+def _normals(dim: int):
+    """Draw function for ``accumulate``: n rows of ``dim`` standard normals."""
+    return lambda rng, n: rng.standard_normal((n, dim))
 
 
-def _jackknife_stderr(leave: np.ndarray) -> float:
-    """Standard error from delete-one-batch replicates."""
-    n = len(leave)
-    return math.sqrt((n - 1) / n * float(np.sum((leave - leave.mean()) ** 2)))
+def _column_means(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means of the sum columns 1.. per count column 0, with jackknife errors."""
+    return jackknife(sums, lambda c: c[1:] / c[0])
+
+
+def _mean_and_error(values: np.ndarray, n_batches: int) -> tuple[float, float]:
+    """Mean of per-sample values and its jackknife error over consecutive batches."""
+    per = values.reshape(n_batches, -1)
+    sums = np.stack([np.full(n_batches, per.shape[1]), per.sum(axis=1)], axis=1)
+    return float(values.mean()), float(_column_means(sums)[1][0])
 
 
 @dataclass
@@ -626,63 +632,56 @@ class ClusterInstance:
 
     # -- Monte Carlo layers ---------------------------------------------------
 
-    def order_one(self, n_samples: int, seed: int,
-                  n_batches: int = 50) -> tuple[float, float]:
+    def order_one(self, n_samples: int, seed: int) -> tuple[float, float]:
         """Block expectation of A exp(-V(X_1)) under the X_1-restricted kernel."""
-        rng = np.random.default_rng(seed)
         pts, mat = self.block_matrix([self.x1_points], s=())
         chol = np.linalg.cholesky(mat)
-        phi = rng.standard_normal((n_samples, len(pts))) @ chol.T
-        full = np.zeros((n_samples, self.grid.n_points))
-        full[:, pts] = phi
-        vals = self.observable_value(full) * self.gibbs_weight(full, pts)
-        return _mean_stderr(vals, n_batches)
 
-    def i_term(self, tree: Tree, yseq, s, z: np.ndarray,
-               symbolic: bool = False) -> np.ndarray:
+        def columns(z):
+            full = np.zeros((len(z), self.grid.n_points))
+            full[:, pts] = z @ chol.T
+            vals = self.observable_value(full) * self.gibbs_weight(full, pts)
+            return len(z), vals.sum()
+
+        (k,), (dk,) = _column_means(accumulate(_normals(len(pts)), columns, n_samples, seed))
+        return float(k), float(dk)
+
+    def i_term(self, tree: Tree, yseq, s, z: np.ndarray) -> np.ndarray:
         """Per-sample integrand of I_n at interpolation point s (common draws z)."""
         blocks = self.blocks_for(yseq)
         pts, phi = self.sample_block(blocks, s, z)
         full = np.zeros((phi.shape[0], self.grid.n_points))
         full[:, pts] = phi
-        if symbolic:
-            terms = self.symbolic_integrand(tree, yseq)
-            core = evaluate_symbolic(terms, full, self.monomials)
-        else:
-            core = self.contraction_value(tree, yseq, full)
-        return core * self.gibbs_weight(full, pts)
+        return self.contraction_value(tree, yseq, full) * self.gibbs_weight(full, pts)
 
     def cluster_term(self, tree: Tree, yseq, n_samples: int, seed: int,
-                     n_nodes: int = GL_NODES, n_batches: int = RQMC_BATCHES,
-                     symbolic: bool = False) -> tuple[float, float]:
+                     n_nodes: int = GL_NODES) -> tuple[float, float]:
         """K for one (tree, rod sequence): quadrature of f(eta; s) I_n(s).
 
-        Every quadrature node sees the same normals, drawn as ``n_batches``
+        Every quadrature node sees the same normals, drawn as RQMC_BATCHES
         independent scrambles of a Sobol sequence (``scrambled_normals``).
         """
         n = tree.order
         if n > ORDER_CAP[self.mode]:
             raise ValueError(f"order {n} beyond the supported cap for {self.mode.value}")
         if n == 1:
-            return self.order_one(n_samples, seed, n_batches)
+            return self.order_one(n_samples, seed)
         nodes, weights = gauss_legendre_unit(n_nodes)
         n_pts = len(self.x1_points) + sum(len(self.rod_points[r]) for r in yseq)
-        z = scrambled_normals(n_samples, n_pts, seed, n_batches)
+        z = scrambled_normals(n_samples, n_pts, seed)
         acc = np.zeros(n_samples)
         for combo in itertools.product(range(n_nodes), repeat=n - 1):
             s = np.array([nodes[i] for i in combo])
             w = float(np.prod([weights[i] for i in combo]))
-            acc += w * f_factor(tree, s) * self.i_term(tree, yseq, s, z, symbolic)
-        return _mean_stderr(acc, n_batches)
+            acc += w * f_factor(tree, s) * self.i_term(tree, yseq, s, z)
+        return _mean_and_error(acc, RQMC_BATCHES)
 
-    def ratio_f(self, yseq, n_samples: int, seed: int,
-                n_batches: int = 50) -> tuple[float, float]:
+    def ratio_f(self, yseq, n_samples: int, seed: int) -> tuple[float, float]:
         """Z(complement of X_n) / Z over common reference draws; >= 1 always."""
-        ratios, leave = self.ratio_table([tuple(yseq)], n_samples, seed, n_batches)
-        return float(ratios[0]), _jackknife_stderr(leave[0])
+        ratios, leave = self.ratio_table([tuple(yseq)], n_samples, seed)
+        return float(ratios[0]), float(replicate_stderr(leave[0]))
 
-    def ratio_table(self, yseqs, n_samples: int, seed: int,
-                    n_batches: int = 50) -> tuple[np.ndarray, np.ndarray]:
+    def ratio_table(self, yseqs, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Z(complement)/Z for many rod sequences, plus jackknife replicates.
 
         Row j of the replicates belongs to yseqs[j].  All ratios share one set
@@ -690,33 +689,34 @@ class ClusterInstance:
         jackknife error of any combination of ratios is that of the same
         combination of replicate rows.
         """
-        rng = np.random.default_rng(seed)
-        phi = self.ensemble.sampler.sample(rng, n_samples)
-        flat = phi.reshape(n_samples, -1)
-        w_all = self.gibbs_weight(flat, np.arange(self.grid.n_points))
-        den = w_all.reshape(n_batches, -1).sum(axis=1)
-        ratios = np.empty(len(yseqs))
-        leave = np.empty((len(yseqs), n_batches))
-        for j, yseq in enumerate(yseqs):
+        comps = []
+        for yseq in yseqs:
             keep = set(self.x1_rod_ids) | set(yseq)
-            comp = [r for r in range(len(self.partition.rods)) if r not in keep]
-            if comp:
-                comp_pts = np.concatenate([self.rod_points[r] for r in comp])
-                w_comp = self.gibbs_weight(flat, comp_pts)
-            else:
-                w_comp = np.ones(n_samples)
-            num = w_comp.reshape(n_batches, -1).sum(axis=1)
-            ratios[j] = num.sum() / den.sum()
-            leave[j] = (num.sum() - num) / (den.sum() - den)
-        return ratios, leave
+            comp = [self.rod_points[r] for r in range(len(self.partition.rods))
+                    if r not in keep]
+            comps.append(np.concatenate(comp) if comp else None)
+        all_pts = np.arange(self.grid.n_points)
+
+        def columns(phi):
+            flat = phi.reshape(len(phi), -1)
+            return [self.gibbs_weight(flat, all_pts).sum()] + [
+                self.gibbs_weight(flat, pts).sum() if pts is not None else float(len(flat))
+                for pts in comps]
+
+        sums = accumulate(self.ensemble.sampler.sample, columns, n_samples, seed)
+        ratios, leave = jackknife_replicates(sums, lambda c: c[1:] / c[0])
+        return ratios, leave.T
 
     def partition_weight(self, n_samples: int, seed: int) -> tuple[float, float]:
-        """Z = E[exp(-V(T))] under the reference measure, with batch stderr."""
-        rng = np.random.default_rng(seed)
-        phi = self.ensemble.sampler.sample(rng, n_samples)
-        flat = phi.reshape(n_samples, -1)
-        w = self.gibbs_weight(flat, np.arange(self.grid.n_points))
-        return _mean_stderr(w, 50)
+        """Z = E[exp(-V(T))] under the reference measure, with jackknife stderr."""
+        all_pts = np.arange(self.grid.n_points)
+
+        def columns(phi):
+            return len(phi), self.gibbs_weight(phi.reshape(len(phi), -1), all_pts).sum()
+
+        (z,), (dz,) = _column_means(
+            accumulate(self.ensemble.sampler.sample, columns, n_samples, seed))
+        return float(z), float(dz)
 
     def order_contribution(self, n: int, n_samples: int, seed: int,
                            n_nodes: int = GL_NODES,
@@ -743,11 +743,11 @@ class ClusterInstance:
                                           seed + 1013 * si + 7 * ti, n_nodes)
                 k_sums[si] += k
                 k_var += (ratios[si] * dk) ** 2
-        f_err = _jackknife_stderr(k_sums @ leave)
+        f_err = float(replicate_stderr(k_sums @ leave))
         return float(k_sums @ ratios), math.sqrt(k_var + f_err ** 2)
 
-    def first_step_residual(self, n_samples: int, seed: int,
-                            n_batches: int = 50) -> tuple[float, float, float, float]:
+    def first_step_residual(self, n_samples: int,
+                            seed: int) -> tuple[float, float, float, float]:
         """(E_coupled - E_decoupled)[A e^-V(T)] / Z over common draws.
 
         The decoupled kernel cuts X_1 from its complement (the order-1 term
@@ -758,27 +758,19 @@ class ClusterInstance:
         """
         comp_points = np.concatenate([self.rod_points[r] for r in self.free_rod_ids])
         blocks = [self.x1_points, comp_points]
-        all_pts = np.concatenate(blocks)
-        rng = np.random.default_rng(seed)
-        z_t, dz_t = self.partition_weight(n_samples, seed + 1)
-        diff_batch = np.zeros(n_batches)
-        full_batch = np.zeros(n_batches)
-        per = n_samples // n_batches
-        if per * n_batches != n_samples:
-            raise ValueError(f"sample count must be a multiple of {n_batches}")
-        for b in range(n_batches):
-            z = rng.standard_normal((per, len(all_pts)))
+
+        def columns(z):
             coupled = _full_expectation_values(self, blocks, np.array([1.0]), z)
             cut = _full_expectation_values(self, blocks, np.array([0.0]), z)
-            diff_batch[b] = (coupled - cut).mean()
-            full_batch[b] = coupled.mean()
-        diff, ddiff = _mean_stderr(diff_batch, n_batches)
-        full, dfull = _mean_stderr(full_batch, n_batches)
-        resid = diff / z_t
+            return len(z), (coupled - cut).sum(), coupled.sum()
+
+        n_pts = len(self.x1_points) + len(comp_points)
+        (diff, full), (ddiff, dfull) = _column_means(
+            accumulate(_normals(n_pts), columns, n_samples, seed))
+        z_t, dz_t = self.partition_weight(n_samples, seed + 1)
         resid_err = math.hypot(ddiff / z_t, diff * dz_t / z_t ** 2)
-        direct = full / z_t
         direct_err = math.hypot(dfull / z_t, full * dz_t / z_t ** 2)
-        return resid, resid_err, direct, direct_err
+        return float(diff / z_t), resid_err, float(full / z_t), direct_err
 
     def second_step_residual(self, n_samples: int, seed: int,
                              n_nodes: int = GL_NODES) -> tuple[float, float]:
@@ -819,7 +811,7 @@ class ClusterInstance:
                 end = self._rest_weight(phi[:, n2:], z[:, :n2] @ chol[n2:, :n2].T,
                                         np.sum(chol[n2:, n2:] ** 2, axis=1))
                 acc += w * core * (end - end_cut)
-        diff, ddiff = _mean_stderr(acc, RQMC_BATCHES)
+        diff, ddiff = _mean_and_error(acc, RQMC_BATCHES)
         return diff / z_t, math.hypot(ddiff / z_t, diff * dz_t / z_t ** 2)
 
     def _rest_weight(self, phi: np.ndarray, mean, var) -> np.ndarray:
@@ -842,35 +834,6 @@ class ExpansionReport:
     residuals: list       # |direct - partial sum| with combined stderr
 
 
-def truncated_expansion(instance: ClusterInstance, n_max: int, n_samples: int,
-                        seed: int, direct_samples: int | None = None,
-                        n_nodes: int = GL_NODES) -> ExpansionReport:
-    """Partial sums of the expansion against the direct Gibbs estimate.
-
-    The direct estimate averages the observable over all whole-rod
-    translations of its points (an exact symmetry of the periodic box), which
-    shrinks its error without moving the estimand.
-    """
-    cap = ORDER_CAP[instance.mode]
-    if n_max > cap:
-        raise ValueError(f"order cap for {instance.mode.value} is {cap}")
-    if n_max - 1 > len(instance.free_rod_ids):
-        raise ValueError("not enough rods outside X_1 for the requested order")
-    direct = _direct_estimate(instance, direct_samples or 4 * n_samples, seed + 999)
-    orders, partial, residuals = [], [], []
-    run, run_var = 0.0, 0.0
-    for n in range(1, n_max + 1):
-        val, err = instance.order_contribution(n, n_samples, seed + 10_000 * n, n_nodes)
-        orders.append((val, err))
-        run += val
-        run_var += err ** 2
-        partial.append((run, math.sqrt(run_var)))
-        residuals.append((abs(direct[0] - run),
-                          math.hypot(direct[1], math.sqrt(run_var))))
-    return ExpansionReport(orders=orders, partial_sums=partial, direct=direct,
-                           residuals=residuals)
-
-
 def residual_decay_report(instance: ClusterInstance, n_max: int,
                           first_step_samples: int, order_samples, seed: int,
                           n_nodes: int = GL_NODES) -> ExpansionReport:
@@ -884,9 +847,8 @@ def residual_decay_report(instance: ClusterInstance, n_max: int,
     harmonic noise cancels sample by sample.  The last residual always
     subtracts a measured contribution, R_{n-1} - s_n with s_n from
     ``order_contribution`` (``order_samples[n]`` draws), so the final
-    comparison is between two independent estimators.  Same estimands as
-    ``truncated_expansion``, far smaller error bars on the residuals.
-    ``order_samples`` is an int or a per-order {n: samples} mapping.
+    comparison is between two independent estimators.  ``order_samples`` is
+    an int or a per-order {n: samples} mapping.
     """
     cap = ORDER_CAP[instance.mode]
     if n_max > cap:
@@ -1004,7 +966,7 @@ def newton_leibniz_report(instance: ClusterInstance, n_samples: int, seed: int,
         fd_acc += w * (up - dn) / (2.0 * fd_step)
     remainder = []
     for acc in (ibp_acc, fd_acc):
-        mean, err = _mean_stderr(acc, 50)
+        mean, err = _mean_and_error(acc, N_BATCHES)
         remainder.append((mean / z_t, err / z_t))
     return SplitReport(direct=direct, term_one=term_one,
                        remainder_ibp=tuple(remainder[0]),

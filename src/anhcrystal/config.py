@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .params import ModelParams
 
-_FLOAT_KEYS = {"m", "a", "b", "delta", "J", "beta", "c", "rho", "rho_prop", "c_offset"}
+_FLOAT_KEYS = {"m", "a", "b", "delta", "J", "beta", "c"}
 _INT_KEYS = {"d", "nu", "slices_per_unit", "matsubara_cutoff", "samples", "seed",
-             "order", "n_max", "threads"}
+             "order", "n_max"}
 _LIST_KEYS = {"h", "dims"}
 _STR_KEYS = {"backend", "mode", "boundary", "observable", "bc", "check"}
 
@@ -27,7 +26,7 @@ DEFAULTS = {
     "h": (0.0,), "d": 1, "nu": 1, "dims": (8,),
     "slices_per_unit": 16, "matsubara_cutoff": 50_000, "samples": 100_000,
     "seed": 1, "backend": "reweight", "order": 3, "mode": "lowT",
-    "boundary": "periodic", "c": 1.0, "threads": 1, "c_offset": 0.0,
+    "boundary": "periodic", "c": 1.0,
 }
 
 
@@ -76,7 +75,7 @@ def model_params(cfg: dict) -> ModelParams:
     return ModelParams(
         m=cfg["m"], a=cfg["a"], b=cfg["b"], delta=cfg["delta"], J=cfg["J"],
         beta=cfg["beta"], h=tuple(cfg["h"]), d=cfg["d"], nu=cfg["nu"],
-        dims=tuple(cfg["dims"]), c_offset=cfg.get("c_offset", 0.0),
+        dims=tuple(cfg["dims"]),
     )
 
 

@@ -293,10 +293,6 @@ class InterpolatedCovariance:
     def matrix(self) -> np.ndarray:
         return self.base_matrix * p_matrix(self.block_of, self.s)
 
-    def value(self, i: int, j: int) -> float:
-        return float(self.base_matrix[i, j] *
-                     p_factor(self.block_of[i], self.block_of[j], self.s))
-
 
 def convex_decomposition(ic: InterpolatedCovariance, max_blocks: int = 12):
     """Write the interpolated kernel as a convex mix of block-diagonal kernels.

@@ -24,9 +24,7 @@ INFINITE_BETA = math.inf
 class ModelParams:
     """Physical constants of the crystal (hbar = k_B = 1).
 
-    ``beta = math.inf`` marks the ground state (T = 0).  ``c_offset`` is an
-    additive energy constant; it cancels from every normalized expectation and
-    exists only so that tests can assert that independence.
+    ``beta = math.inf`` marks the ground state (T = 0).
     """
 
     m: float
@@ -39,7 +37,6 @@ class ModelParams:
     d: int = 1
     nu: int = 1
     dims: tuple[int, ...] = (2,)
-    c_offset: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "h", tuple(float(x) for x in self.h))

@@ -24,19 +24,6 @@ from scipy.special import roots_hermite
 MAX_DERIVATIVE_ORDER = 30
 
 
-@dataclass(frozen=True)
-class PotentialParams:
-    b_m: float
-    delta_m: float
-    d: int = 1
-
-    def __post_init__(self):
-        if self.b_m < 0 or self.delta_m < 0:
-            raise ValueError("b_m and delta_m must be nonnegative")
-        if self.d < 1:
-            raise ValueError("displacement dimension d must be >= 1")
-
-
 def potential(q, b: float, delta: float) -> float:
     """Unrescaled anharmonic one-site potential b exp(-delta |q|^2 / 2)."""
     q = np.asarray(q, dtype=float)

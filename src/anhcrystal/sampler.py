@@ -6,12 +6,18 @@ the reference field exactly (Dirichlet boxes filter sine modes in space).
 The perturbed measure reweights by exp(-S) with
 
     S = dt * sum_slices [ sum_j V(phi_j) + sum_j h . phi_j ]
-        - (J/2) * dt * sum_boundary pairs sum_slices phi_l . xi_l',
+        - (J/2) * dt * sum_boundary pairs sum_slices phi_l . xi_l'
+      = dt * sum V(phi) + l . phi,
 
-estimated either by self-normalized importance sampling (primary; the Gibbs
-weight is bounded by 1 for h = 0) or by a covariance-preserving
-autocorrelation MCMC with Metropolis correction (fallback for strong
-anharmonicity).
+estimated either by self-normalized importance sampling (primary) or by a
+covariance-preserving autocorrelation MCMC with Metropolis correction
+(fallback for strong anharmonicity).  The linear terms l . phi tilt the
+reference Gaussian into the same Gaussian with mean m = -C l, so importance
+sampling draws phi = psi + m and weights it by exp(-dt sum V(phi)) alone:
+for every field and boundary the weight lies in (0, 1] and no log-weight can
+overflow.  One core serves every estimator: ``accumulate`` sums columns over
+chunked draws in N_BATCHES batches, ``jackknife`` gives the delete-one-batch
+error of any ratio of column sums, and the ESS is Kong's (sum w)^2 / sum w^2.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .covariance import CovarianceKernel
 from .grid import FieldGrid
 from .lattice import Boundary, Lattice
 
-DEFAULT_BATCHES = 50
+N_BATCHES = 50
 MAX_CHUNK = 16384
 ESS_WARN_THRESHOLD = 100.0
 
@@ -242,38 +248,57 @@ class Ensemble:
         return GaussianFieldSampler(self.kernel, self.n_slices, self.d)
 
     @cached_property
-    def _boundary_coupling(self) -> np.ndarray | None:
-        """(J/2) sum of outside trajectories adjacent to each inside site."""
-        if self.bc.kind is not BoundaryKind.TEMPERED:
+    def linear_term(self) -> np.ndarray | None:
+        """l = dt (h - c), the coefficient of phi in S; None when it vanishes.
+
+        c is (J/2) times the outside trajectories adjacent to each inside
+        site, for a tempered boundary.
+        """
+        tempered = self.bc.kind is BoundaryKind.TEMPERED
+        field = bool(self.h_hat) and any(x != 0.0 for x in self.h_hat)
+        if not (tempered or field):
             return None
-        if not self.bc.xi:
-            raise ValueError("tempered boundary condition needs xi trajectories")
-        c = np.zeros(self.lattice.dims + (self.n_slices, self.d))
-        flat = c.reshape(self.lattice.n_sites, self.n_slices, self.d)
-        for inside, outside in self.lattice.boundary_pairs():
-            traj = self.bc.xi.get(tuple(outside))
-            if traj is None:
-                continue
-            flat[inside] += 0.5 * self.J * np.asarray(traj, dtype=float)
-        return c
+        ell = np.zeros(self.sampler.shape)
+        if field:
+            ell += np.asarray(self.h_hat, dtype=float)
+        if tempered:
+            if not self.bc.xi:
+                raise ValueError("tempered boundary condition needs xi trajectories")
+            flat = ell.reshape(self.lattice.n_sites, self.n_slices, self.d)
+            for inside, outside in self.lattice.boundary_pairs():
+                traj = self.bc.xi.get(tuple(outside))
+                if traj is not None:
+                    flat[inside] -= 0.5 * self.J * np.asarray(traj, dtype=float)
+        return ell * self.grid.delta_tau
+
+    @cached_property
+    def mean_shift(self) -> np.ndarray:
+        """m = -C l: the mean of the reference Gaussian tilted by exp(-l . phi)."""
+        if self.linear_term is None:
+            return np.zeros(self.sampler.shape)
+        return -self.sampler.apply_covariance(self.linear_term)
+
+    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n reference fields carrying the mean shift of the linear terms."""
+        psi = self.sampler.sample(rng, n)
+        return psi if self.linear_term is None else psi + self.mean_shift
 
     def potential_density(self, phi: np.ndarray) -> np.ndarray:
         """V at each grid point: b_m exp(-delta_m |phi|^2 / 2), summed over nothing."""
         sq = np.sum(phi ** 2, axis=-1)
         return self.b_m * np.exp(-0.5 * self.delta_m * sq)
 
-    def action(self, phi: np.ndarray) -> np.ndarray:
-        """Grid action S for a batch of fields (leading batch axis)."""
-        dt = self.grid.delta_tau
+    def weight(self, phi: np.ndarray) -> np.ndarray:
+        """exp(-dt sum V) per field: the part of exp(-S) left after the shift, in (0, 1]."""
         dens = self.potential_density(phi)
-        s = dt * dens.sum(axis=tuple(range(1, dens.ndim)))
-        if self.h_hat and any(x != 0.0 for x in self.h_hat):
-            h = np.asarray(self.h_hat, dtype=float)
-            proj = np.tensordot(phi, h, axes=([-1], [0]))
-            s = s + dt * proj.sum(axis=tuple(range(1, proj.ndim)))
-        coupling = self._boundary_coupling
-        if coupling is not None:
-            s = s - dt * np.sum(phi * coupling, axis=tuple(range(1, phi.ndim)))
+        return np.exp(-self.grid.delta_tau * dens.sum(axis=tuple(range(1, dens.ndim))))
+
+    def action(self, phi: np.ndarray) -> np.ndarray:
+        """Grid action S = dt sum V + l . phi for a batch of fields (leading batch axis)."""
+        dens = self.potential_density(phi)
+        s = self.grid.delta_tau * dens.sum(axis=tuple(range(1, dens.ndim)))
+        if self.linear_term is not None:
+            s = s + np.sum(phi * self.linear_term, axis=tuple(range(1, phi.ndim)))
         return s
 
     def phi_product(self, factors):
@@ -319,15 +344,7 @@ def action_integral(phi: FieldConfiguration, ensemble: Ensemble) -> float:
     return float(ensemble.action(phi.values[None, ...])[0])
 
 
-# -- estimators ----------------------------------------------------------------
-
-
-def _batched_chunks(total: int, n_batches: int):
-    if total % n_batches != 0:
-        raise ValueError(f"sample count must be a multiple of {n_batches} batches")
-    per = total // n_batches
-    for _ in range(n_batches):
-        yield per
+# -- the importance-sampling core ------------------------------------------------
 
 
 def _warn_small_ess(ess: float):
@@ -336,37 +353,79 @@ def _warn_small_ess(ess: float):
                       "estimates unreliable", RuntimeWarning, stacklevel=3)
 
 
-def reweight_expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
-                         n_batches: int = DEFAULT_BATCHES) -> EstimatorResult:
-    """Self-normalized importance sampling from the reference Gaussian.
+def accumulate(draw, columns, n_samples: int, seed: int) -> np.ndarray:
+    """Per-batch column sums over ``n_samples`` draws in N_BATCHES batches.
 
-    The estimate is E[A e^-S] / E[e^-S]; the standard error comes from batch
-    means over ``n_batches`` batches.
+    ``draw(rng, n)`` returns n draws from one generator seeded with ``seed``;
+    ``columns(draws)`` returns the sum over those draws of each column (a
+    sequence of scalars, or of arrays of one shape).  Batches are drawn in
+    chunks of at most MAX_CHUNK, so memory stays bounded for any budget.
+    Returns shape (N_BATCHES, n_columns, ...).
     """
+    if n_samples % N_BATCHES != 0:
+        raise ValueError(f"sample count must be a multiple of {N_BATCHES} batches")
+    per = n_samples // N_BATCHES
     rng = np.random.default_rng(seed)
-    sw = swa = sww = 0.0
-    batch_w = np.zeros(n_batches)
-    batch_wa = np.zeros(n_batches)
-    for b, per in enumerate(_batched_chunks(n_samples, n_batches)):
-        done = 0
-        while done < per:
-            take = min(MAX_CHUNK, per - done)
-            phi = ensemble.sampler.sample(rng, take)
-            w = np.exp(-ensemble.action(phi))
-            av = np.asarray(observable(phi), dtype=float)
-            batch_w[b] += w.sum()
-            batch_wa[b] += (w * av).sum()
-            sww += (w ** 2).sum()
-            done += take
-    sw = batch_w.sum()
-    swa = batch_wa.sum()
-    mean = swa / sw
-    ratios = batch_wa / batch_w
-    stderr = float(np.std(ratios, ddof=1) / math.sqrt(n_batches))
-    ess = float(sw ** 2 / sww)
+    sums = None
+    for b in range(N_BATCHES):
+        for start in range(0, per, MAX_CHUNK):
+            chunk = np.asarray(columns(draw(rng, min(MAX_CHUNK, per - start))), dtype=float)
+            if sums is None:
+                sums = np.zeros((N_BATCHES,) + chunk.shape)
+            sums[b] += chunk
+    return sums
+
+
+def jackknife_replicates(batch_sums: np.ndarray, statistic):
+    """statistic(column totals) and its delete-one-batch replicates (batch axis first)."""
+    total = batch_sums.sum(axis=0)
+    return statistic(total), np.stack([statistic(total - s) for s in batch_sums])
+
+
+def replicate_stderr(leave: np.ndarray):
+    """Jackknife standard error from delete-one-batch replicates."""
+    n = len(leave)
+    return np.sqrt((n - 1) / n * np.sum((leave - leave.mean(axis=0)) ** 2, axis=0))
+
+
+def jackknife(batch_sums: np.ndarray, statistic):
+    """statistic(column totals) and its delete-one-batch standard error."""
+    estimate, leave = jackknife_replicates(batch_sums, statistic)
+    return estimate, replicate_stderr(leave)
+
+
+def _weighted_result(sums: np.ndarray, statistic, n_samples: int,
+                     seed: int) -> EstimatorResult:
+    """Jackknife result from batch sums whose first column is w, last w^2.
+
+    The ESS is Kong's (sum w)^2 / sum w^2.
+    """
+    mean, stderr = jackknife(sums, statistic)
+    total = sums.sum(axis=0)
+    ess = float(total[0] ** 2 / total[-1])
     _warn_small_ess(ess)
-    return EstimatorResult(mean=float(mean), stderr=stderr, n_samples=n_samples,
+    return EstimatorResult(mean=float(mean), stderr=float(stderr), n_samples=n_samples,
                            seed=seed, ess=ess)
+
+
+# -- estimators ----------------------------------------------------------------
+
+
+def reweight_expectation(ensemble: Ensemble, observable, n_samples: int,
+                         seed: int) -> EstimatorResult:
+    """Self-normalized importance sampling from the shifted reference Gaussian.
+
+    The estimate is E[A w] / E[w] over draws that carry the exact mean shift
+    of the linear action terms, with w = exp(-dt sum V) in (0, 1]; the
+    standard error is the jackknife over batches.
+    """
+    def columns(phi):
+        w = ensemble.weight(phi)
+        av = np.asarray(observable(phi), dtype=float)
+        return w.sum(), (w * av).sum(), (w ** 2).sum()
+
+    sums = accumulate(ensemble.draw, columns, n_samples, seed)
+    return _weighted_result(sums, lambda c: c[1] / c[0], n_samples, seed)
 
 
 def integrated_autocorrelation_time(trace: np.ndarray) -> float:
@@ -432,38 +491,25 @@ def expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def truncated_two_point(ensemble: Ensemble, p1, p2, n_samples: int, seed: int,
-                        n_batches: int = DEFAULT_BATCHES) -> EstimatorResult:
+def truncated_two_point(ensemble: Ensemble, p1, p2, n_samples: int,
+                        seed: int) -> EstimatorResult:
     """Connected two-point function with jackknife error over batches."""
     obs_a = ensemble.phi_product([p1])
     obs_b = ensemble.phi_product([p2])
-    rng = np.random.default_rng(seed)
-    cols = np.zeros((n_batches, 4))  # w, wa, wb, wab
-    for b, per in enumerate(_batched_chunks(n_samples, n_batches)):
-        done = 0
-        while done < per:
-            take = min(MAX_CHUNK, per - done)
-            phi = ensemble.sampler.sample(rng, take)
-            w = np.exp(-ensemble.action(phi))
-            av, bv = obs_a(phi), obs_b(phi)
-            cols[b] += (w.sum(), (w * av).sum(), (w * bv).sum(), (w * av * bv).sum())
-            done += take
-    total = cols.sum(axis=0)
+
+    def columns(phi):
+        w = ensemble.weight(phi)
+        av, bv = obs_a(phi), obs_b(phi)
+        return w.sum(), (w * av).sum(), (w * bv).sum(), (w * av * bv).sum(), (w ** 2).sum()
 
     def connected(c):
         return c[3] / c[0] - (c[1] / c[0]) * (c[2] / c[0])
 
-    k_full = connected(total)
-    leave_one = np.array([connected(total - cols[b]) for b in range(n_batches)])
-    stderr = math.sqrt((n_batches - 1) / n_batches *
-                       float(np.sum((leave_one - leave_one.mean()) ** 2)))
-    ess = float(total[0] ** 2 / np.sum(cols[:, 0] ** 2) * n_batches)
-    return EstimatorResult(mean=float(k_full), stderr=stderr,
-                           n_samples=n_samples, seed=seed, ess=ess)
+    sums = accumulate(ensemble.draw, columns, n_samples, seed)
+    return _weighted_result(sums, connected, n_samples, seed)
 
 
-def two_point_table(ensemble: Ensemble, time_lag: int, n_samples: int, seed: int,
-                    n_batches: int = DEFAULT_BATCHES):
+def two_point_table(ensemble: Ensemble, time_lag: int, n_samples: int, seed: int):
     """Translation-averaged connected correlations for all site displacements.
 
     Returns (K, K_err) arrays indexed by the displacement in FFT order; uses
@@ -474,36 +520,20 @@ def two_point_table(ensemble: Ensemble, time_lag: int, n_samples: int, seed: int
         raise ValueError("translation averaging needs a periodic box")
     if ensemble.d != 1:
         raise ValueError("translation-averaged tables are single-component")
-    rng = np.random.default_rng(seed)
-    nu = ensemble.lattice.nu
     shape = ensemble.lattice.dims
     norm = ensemble.lattice.n_sites * ensemble.n_slices
-    batch = np.zeros((n_batches, 3) + shape)  # w, w*R(dx), w*mean (broadcast)
-    for b, per in enumerate(_batched_chunks(n_samples, n_batches)):
-        done = 0
-        while done < per:
-            take = min(MAX_CHUNK, per - done)
-            phi = ensemble.sampler.sample(rng, take)[..., 0]
-            w = np.exp(-ensemble.action(phi[..., None]))
-            axes = tuple(range(1, nu + 2))
-            f = np.fft.fftn(phi, axes=axes)
-            corr = np.fft.ifftn(f * np.conj(f), axes=axes).real / norm
-            r = corr[..., time_lag]
-            m = phi.mean(axis=axes)
-            batch[b, 0] += w.sum()
-            batch[b, 1] += np.tensordot(w, r, axes=(0, 0))
-            batch[b, 2] += (w * m).sum()
-            done += take
-    total = batch.sum(axis=0)
+    axes = tuple(range(1, ensemble.lattice.nu + 2))
 
-    def connected(c):
-        return c[1] / c[0] - (c[2] / c[0]) ** 2
+    def columns(phi):  # w, w * R(dx), w * box mean, each broadcast to the table
+        w = ensemble.weight(phi)
+        phi = phi[..., 0]
+        f = np.fft.fftn(phi, axes=axes)
+        corr = np.fft.ifftn(f * np.conj(f), axes=axes).real / norm
+        return np.broadcast_arrays(w.sum(), np.tensordot(w, corr[..., time_lag], axes=(0, 0)),
+                                   (w * phi.mean(axis=axes)).sum())
 
-    k_full = connected(total)
-    leave = np.stack([connected(total - batch[b]) for b in range(n_batches)])
-    k_err = np.sqrt((n_batches - 1) / n_batches *
-                    np.sum((leave - leave.mean(axis=0)) ** 2, axis=0))
-    return k_full, k_err
+    sums = accumulate(ensemble.draw, columns, n_samples, seed)
+    return jackknife(sums, lambda c: c[1] / c[0] - (c[2] / c[0]) ** 2)
 
 
 @dataclass(frozen=True)
@@ -593,66 +623,40 @@ def order_parameter(make_ensemble, alpha: float, h_values, lattice_sizes,
 # -- uniqueness gap ---------------------------------------------------------------
 
 
-def _tilt_vector(ensemble: Ensemble) -> np.ndarray:
-    c = ensemble._boundary_coupling
-    if c is None:
-        return np.zeros(ensemble.lattice.dims + (ensemble.n_slices, ensemble.d))
-    return c
-
-
 def boundary_mean_shift(ensemble: Ensemble) -> np.ndarray:
-    """Exact harmonic response of the field mean to the boundary trajectories.
+    """Exact response -C l of the field mean to the linear terms of the action.
 
-    Under the Gaussian reference, tilting by exp(+ c . phi dt) shifts the mean
-    to C (c dt); the anharmonic correction on top of it is estimated by Monte
-    Carlo in ``uniqueness_gap``.
+    For a tempered boundary with h = 0 this is the harmonic response C (c dt)
+    to the outside trajectories; the anharmonic correction on top of it is
+    estimated by Monte Carlo in ``uniqueness_gap``.
     """
-    c = _tilt_vector(ensemble) * ensemble.grid.delta_tau
-    return ensemble.sampler.apply_covariance(c)
+    return ensemble.mean_shift
 
 
 def gap_estimate(ens_xi: Ensemble, ens_eta: Ensemble, site, tau: float,
-                 n_samples: int, seed: int, component: int = 0,
-                 n_batches: int = DEFAULT_BATCHES):
+                 n_samples: int, seed: int, component: int = 0):
     """Difference of <phi_site(tau)> under two boundary conditions.
 
     Both expectations are computed on common reference draws after exactly
-    absorbing the linear boundary tilt into a Gaussian mean shift, so the
-    harmonic part of the gap carries no Monte Carlo noise at all.
+    absorbing the linear terms into a Gaussian mean shift, so the harmonic
+    part of the gap carries no Monte Carlo noise at all.
     """
     si = ens_xi.lattice.site_index(site) if not np.isscalar(site) else int(site)
     sl = ens_xi.grid.slice_of(tau)
-    shift_xi = boundary_mean_shift(ens_xi)
-    shift_eta = boundary_mean_shift(ens_eta)
+    shift_xi, shift_eta = ens_xi.mean_shift, ens_eta.mean_shift
     flat_xi = shift_xi.reshape(ens_xi.lattice.n_sites, ens_xi.n_slices, ens_xi.d)
     flat_eta = shift_eta.reshape(*flat_xi.shape)
     exact = float(flat_xi[si, sl, component] - flat_eta[si, sl, component])
 
-    rng = np.random.default_rng(seed)
-    cols = np.zeros((n_batches, 4))  # w_xi, w_xi * phi0, w_eta, w_eta * phi0
-    dt = ens_xi.grid.delta_tau
-    for b, per in enumerate(_batched_chunks(n_samples, n_batches)):
-        done = 0
-        while done < per:
-            take = min(MAX_CHUNK, per - done)
-            psi = ens_xi.sampler.sample(rng, take)
-            sum_axes = tuple(range(1, psi.ndim - 1))
-            w_xi = np.exp(-dt * ens_xi.potential_density(psi + shift_xi).sum(axis=sum_axes))
-            w_eta = np.exp(-dt * ens_eta.potential_density(psi + shift_eta).sum(axis=sum_axes))
-            phi0 = psi.reshape(take, -1, ens_xi.n_slices, ens_xi.d)[:, si, sl, component]
-            cols[b] += (w_xi.sum(), (w_xi * phi0).sum(),
-                        w_eta.sum(), (w_eta * phi0).sum())
-            done += take
-    total = cols.sum(axis=0)
+    def columns(psi):
+        w_xi = ens_xi.weight(psi + shift_xi)
+        w_eta = ens_eta.weight(psi + shift_eta)
+        phi0 = psi.reshape(len(psi), -1, ens_xi.n_slices, ens_xi.d)[:, si, sl, component]
+        return w_xi.sum(), (w_xi * phi0).sum(), w_eta.sum(), (w_eta * phi0).sum()
 
-    def correction(c):
-        return c[1] / c[0] - c[3] / c[2]
-
-    corr = correction(total)
-    leave = np.array([correction(total - cols[b]) for b in range(n_batches)])
-    stderr = math.sqrt((n_batches - 1) / n_batches *
-                       float(np.sum((leave - leave.mean()) ** 2)))
-    return exact + corr, stderr, exact
+    sums = accumulate(ens_xi.sampler.sample, columns, n_samples, seed)
+    corr, stderr = jackknife(sums, lambda c: c[1] / c[0] - c[3] / c[2])
+    return exact + corr, float(stderr), exact
 
 
 def uniqueness_gap(make_ensemble_pair, site_of, tau: float, lattice_sizes,
@@ -680,8 +684,7 @@ def uniqueness_gap(make_ensemble_pair, site_of, tau: float, lattice_sizes,
 
 
 def doubled_measure_correlation(ensemble: Ensemble, p1, p2, y_field: np.ndarray,
-                                n_samples: int, seed: int,
-                                n_batches: int = DEFAULT_BATCHES) -> EstimatorResult:
+                                n_samples: int, seed: int) -> EstimatorResult:
     """<x(p1) x(p2)> under the doubled-potential auxiliary measure.
 
     The auxiliary weight replaces the one-site potential by
@@ -692,29 +695,16 @@ def doubled_measure_correlation(ensemble: Ensemble, p1, p2, y_field: np.ndarray,
     if ensemble.bc.kind is BoundaryKind.PERIODIC:
         raise ValueError("the auxiliary measure is defined over zero boundary values")
     obs = ensemble.phi_product([p1, p2])
-    rng = np.random.default_rng(seed)
     dt = ensemble.grid.delta_tau
     y = np.asarray(y_field, dtype=float)
-    cols = np.zeros((n_batches, 2))
-    sww = 0.0
-    for b, per in enumerate(_batched_chunks(n_samples, n_batches)):
-        done = 0
-        while done < per:
-            take = min(MAX_CHUNK, per - done)
-            x = ensemble.sampler.sample(rng, take)
-            sq_plus = np.sum((x + y) ** 2, axis=-1)
-            sq_minus = np.sum((x - y) ** 2, axis=-1)
-            v = ensemble.b_m * (np.exp(-0.25 * ensemble.delta_m * sq_plus) +
-                                np.exp(-0.25 * ensemble.delta_m * sq_minus))
-            w = np.exp(-dt * v.sum(axis=tuple(range(1, v.ndim))))
-            cols[b] += (w.sum(), (w * obs(x)).sum())
-            sww += (w ** 2).sum()
-            done += take
-    total = cols.sum(axis=0)
-    mean = total[1] / total[0]
-    ratios = cols[:, 1] / cols[:, 0]
-    stderr = float(np.std(ratios, ddof=1) / math.sqrt(n_batches))
-    ess = float(total[0] ** 2 / sww)
-    _warn_small_ess(ess)
-    return EstimatorResult(mean=float(mean), stderr=stderr, n_samples=n_samples,
-                           seed=seed, ess=ess)
+
+    def columns(x):
+        sq_plus = np.sum((x + y) ** 2, axis=-1)
+        sq_minus = np.sum((x - y) ** 2, axis=-1)
+        v = ensemble.b_m * (np.exp(-0.25 * ensemble.delta_m * sq_plus) +
+                            np.exp(-0.25 * ensemble.delta_m * sq_minus))
+        w = np.exp(-dt * v.sum(axis=tuple(range(1, v.ndim))))
+        return w.sum(), (w * obs(x)).sum(), (w ** 2).sum()
+
+    sums = accumulate(ensemble.sampler.sample, columns, n_samples, seed)
+    return _weighted_result(sums, lambda c: c[1] / c[0], n_samples, seed)

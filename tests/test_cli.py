@@ -52,6 +52,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("nonsense = 3\n")
 
+    @pytest.mark.parametrize("key", ["threads", "rho", "rho_prop", "c_offset"])
+    def test_removed_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match="unknown configuration key"):
+            parse_config_text(f"{key} = 1\n")
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
             parse_config_text("just words\n")
@@ -166,6 +171,20 @@ class TestClusterCommand:
         payload = json.loads((out / "cluster_bf.json").read_text())
         assert payload["ok"]
         assert payload["orders"]["3"]["sum"] == "2"
+
+    def test_residuals_check_is_error_aware(self, tmp_path):
+        cfg = write_config(tmp_path, d=1, dims=(2,), n_max=2)
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "--out", str(out), "cluster",
+                   "--check", "residuals", "--samples", "10000"])
+        payload = json.loads((out / "cluster_residuals.json").read_text())
+        assert rc == 0 and payload["ok"]
+        residuals = payload["residuals"]
+        assert len(residuals) == 2
+        for value, stderr in residuals:
+            assert math.isfinite(value) and stderr > 0
+        (hi, dhi), (lo, dlo) = residuals
+        assert hi - lo >= 3.0 * math.hypot(dhi, dlo)
 
 
 class TestOracleCommand:

@@ -10,8 +10,7 @@ from anhcrystal.cluster import (ClusterInstance, PolyExp, SymbolicTerm, Tree,
                                 derivative_ladder, enumerate_trees,
                                 evaluate_ladder, evaluate_symbolic, f_factor,
                                 gaussian_bump_mean, newton_leibniz_report,
-                                residual_decay_report, scrambled_normals,
-                                truncated_expansion)
+                                residual_decay_report, scrambled_normals)
 from anhcrystal.lattice import Lattice, RodMode
 from anhcrystal.potential import nth_derivative
 from anhcrystal.sampler import Ensemble, periodic_bc
@@ -271,14 +270,6 @@ class TestClusterTerms:
         removed = 2.0
         assert 1.0 < ratio <= math.exp(0.5 * removed)
 
-    def test_symbolic_and_fast_cluster_terms_agree(self):
-        inst = make_instance(n_slices=8, b_m=0.4)
-        tree = Tree(parent=(1,))
-        yseq = (inst.free_rod_ids[0],)
-        fast = inst.cluster_term(tree, yseq, 2000, seed=9)
-        slow = inst.cluster_term(tree, yseq, 2000, seed=9, symbolic=True)
-        assert fast[0] == pytest.approx(slow[0], rel=1e-12)
-
 
 class TestSharedDraws:
     def test_scrambled_normals_blocks(self):
@@ -320,9 +311,11 @@ class TestExpansionIdentity:
 
     def test_truncated_expansion_residuals_shrink(self):
         inst = make_instance(dims=(2,), b_m=0.2, delta_m=2.0, a=0.5, J=0.5)
-        rep = truncated_expansion(inst, n_max=2, n_samples=20_000, seed=13,
-                                  direct_samples=200_000)
-        assert rep.residuals[0][0] > rep.residuals[1][0]
+        rep = residual_decay_report(inst, n_max=2, first_step_samples=200_000,
+                                    order_samples=20_000, seed=13)
+        (hi, dhi), (lo, dlo) = rep.residuals
+        assert hi > lo
+        assert hi - lo >= 3.0 * math.hypot(dhi, dlo), rep.residuals
 
     def test_high_temperature_residuals(self):
         # three-column box at small beta: rods are whole site columns, so the

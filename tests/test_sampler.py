@@ -1,14 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from anhcrystal.covariance import CovarianceKernel
 from anhcrystal.lattice import Boundary, Lattice
-from anhcrystal.sampler import (BoundaryKind, Ensemble, EstimatorResult,
+from anhcrystal.params import ModelParams, rescale
+from anhcrystal.sampler import (N_BATCHES, BoundaryKind, Ensemble, EstimatorResult,
                                 GaussianFieldSampler, action_integral,
                                 boundary_mean_shift, doubled_measure_correlation,
-                                expectation, gap_estimate, merge_results,
+                                expectation, gap_estimate, jackknife, merge_results,
                                 pcn_expectation, periodic_bc,
                                 reweight_expectation, sample_gaussian_field,
                                 tempered_bc, tempered_weighted_sum,
@@ -153,7 +155,7 @@ class TestExpectation:
         ens = single_site_ensemble(b_m=0.5)
         obs = ens.phi_product([((0,), 0.0, 0)])
         with pytest.warns(RuntimeWarning, match="effective sample size"):
-            reweight_expectation(ens, obs, 100, seed=1, n_batches=50)
+            reweight_expectation(ens, obs, 100, seed=1)
 
     def test_unknown_backend(self):
         ens = single_site_ensemble()
@@ -218,7 +220,7 @@ class TestTempered:
         shift = boundary_mean_shift(ens).reshape(-1)
         points = [(i, s) for i in range(4) for s in range(n_slices)]
         cmat = ens.kernel.grid_matrix(points, n_slices)
-        tilt = ens._boundary_coupling.reshape(-1) * ens.grid.delta_tau
+        tilt = -ens.linear_term.reshape(-1)
         assert np.allclose(shift, cmat @ tilt, atol=1e-12)
 
     def test_equal_boundaries_give_zero_gap(self):
@@ -289,21 +291,57 @@ class TestDoubledMeasure:
             assert v.ess > 1000
 
 
-class TestGauge:
-    def test_estimates_ignore_additive_constant(self):
-        # the additive energy constant never enters the estimator path:
-        # identical seeds give bit-identical estimates for any c_offset
-        from anhcrystal.params import ModelParams, rescale
 
-        means = []
-        for c_offset in (0.0, 123.4):
-            p = ModelParams(m=1.0, a=1.0, b=0.5, delta=1.0, J=0.25, beta=2.0,
-                            dims=(2,), c_offset=c_offset)
-            r = rescale(p)
-            lat = Lattice(1, (2,))
-            ens = Ensemble(lattice=lat, a=p.a, J=p.J, beta_hat=r.beta_hat,
-                           n_slices=16, b_m=r.b_m, delta_m=r.delta_m, d=1,
-                           bc=periodic_bc())
-            obs = ens.phi_product([((0,), 0.5, 0), ((0,), 0.5, 0)])
-            means.append(reweight_expectation(ens, obs, 10_000, seed=77).mean)
-        assert means[0] == means[1]
+class TestImportanceCore:
+    def strong_field(self, h):
+        return chain_ensemble(n=4, b_m=0.0, n_slices=16, h_hat=(h,))
+
+    def test_strong_field_mean_is_the_exact_gaussian_shift(self):
+        # with b_m = 0 the measure is the reference Gaussian tilted by
+        # exp(-l . phi): its mean is -C l, here -h dt (row sums of C)
+        ens = self.strong_field(30.0)
+        points = [(i, s) for i in range(4) for s in range(16)]
+        rows = ens.kernel.grid_matrix(points, 16).sum(axis=1)
+        exact = float(np.mean(-30.0 * ens.grid.delta_tau * rows))
+        assert exact == pytest.approx(-30.04, abs=0.005)
+        res = reweight_expectation(ens, ens.mean_displacement(), 5000, seed=1)
+        assert abs(res.mean - exact) <= 4.0 * res.stderr, (res, exact)
+        assert res.ess == pytest.approx(5000, rel=1e-12)
+
+    def test_log_weights_cannot_overflow(self):
+        ens = self.strong_field(300.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = reweight_expectation(ens, ens.mean_displacement(), 5000, seed=1)
+        assert math.isfinite(res.mean) and math.isfinite(res.stderr)
+
+    def test_ess_near_n_at_light_mass_field(self):
+        # criterion 11's box at h = 0.1: the shifted draws leave only the
+        # bounded anharmonic weight, so almost every draw counts
+        params = ModelParams(m=0.01, a=1.0, b=0.5, delta=1.0, J=0.25, beta=0.2,
+                             dims=(16,))
+        r = rescale(params)
+        ens = Ensemble(lattice=Lattice(1, (16,)), a=params.a, J=params.J,
+                       beta_hat=r.beta_hat, n_slices=32, b_m=r.b_m,
+                       delta_m=r.delta_m, d=1, h_hat=(r.alpha * 0.1,),
+                       bc=periodic_bc())
+        res = reweight_expectation(ens, ens.mean_displacement(), 10_000, seed=5)
+        assert res.ess >= 0.9 * 10_000, res
+
+    def test_jackknife_of_a_plain_mean_is_the_batch_means_stderr(self):
+        values = np.random.default_rng(3).exponential(size=(N_BATCHES, 40))
+        sums = np.stack([np.full(N_BATCHES, 40.0), values.sum(axis=1)], axis=1)
+        mean, err = jackknife(sums, lambda c: c[1] / c[0])
+        batch = np.std(values.mean(axis=1), ddof=1) / math.sqrt(N_BATCHES)
+        assert mean == pytest.approx(values.mean(), rel=1e-12)
+        assert err == pytest.approx(batch, rel=1e-12)
+
+    def test_two_point_ess_is_kong(self):
+        p1, p2 = ((0,), 0.0, 0), ((2,), 0.5, 0)
+        free = truncated_two_point(chain_ensemble(b_m=0.0), p1, p2, 20_000, seed=5)
+        assert free.ess == pytest.approx(20_000, rel=1e-12)
+        ens = chain_ensemble(b_m=0.3)
+        two = truncated_two_point(ens, p1, p2, 20_000, seed=5)
+        one = reweight_expectation(ens, ens.phi_product([p1]), 20_000, seed=5)
+        assert two.ess == pytest.approx(one.ess, rel=1e-12)
+        assert two.ess < 20_000
