@@ -1,10 +1,12 @@
-"""Independent ground truth: dense-grid diagonalization for one or two sites.
+"""Independent ground truth: dense diagonalization for one or two sites.
 
-The rescaled one- or two-site Hamiltonian (d = 1) is discretized on a real-
-space grid with a fourth-order Laplacian stencil and diagonalized.  Thermal
-traces and imaginary-time displacement correlations computed from the
-spectrum validate the covariance formulas and the Monte Carlo sampler from a
-completely different direction.
+The rescaled one-site Hamiltonian (d = 1) is discretized on a real-space grid
+with a fourth-order Laplacian stencil.  Two sites use the product basis of the
+k lowest one-site states, with energies E and matrix elements X of x and X^2
+of x^2: H = E(x)1 + 1(x)E + J (X^2(x)1 + 1(x)X^2 - 2 X(x)X).  Every solve is
+dense and deterministic.  Thermal traces and imaginary-time displacement
+correlations from the spectrum validate the covariance formulas and the Monte
+Carlo sampler from a completely different direction.
 
 The ground-energy convention subtracts (1/2) Tr B: one site subtracts
 sqrt(a)/2, two sites subtract (sqrt(a) + sqrt(a + 4J))/2.  Two periodic sites
@@ -18,22 +20,26 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 # fourth-order central second derivative
 _STENCIL = np.array([-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0])
 _OFFSETS = (-2, -1, 0, 1, 2)
 
 
-def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:
-    diags = [np.full(n - abs(o), c) for o, c in zip(_OFFSETS, _STENCIL)]
-    return sp.diags(diags, _OFFSETS, format="csr") / h ** 2
+def _laplacian_1d(n: int, h: float) -> np.ndarray:
+    return sum(np.diag(np.full(n - abs(o), c), o) for o, c in zip(_OFFSETS, _STENCIL)) / h ** 2
+
+
+def _lowest(ham: np.ndarray, operators, keep: int):
+    """The ``keep`` lowest eigenvalues of a dense matrix, and each operator in their basis."""
+    energies, vecs = np.linalg.eigh(ham)
+    vecs = vecs[:, :keep]
+    return energies[:keep], [vecs.T @ (op @ vecs) for op in operators]
 
 
 @dataclass
 class GridHamiltonian:
-    """Dense-grid rescaled Hamiltonian for 1 or 2 sites, scalar displacement."""
+    """Rescaled Hamiltonian for 1 or 2 sites, scalar displacement."""
 
     n_sites: int
     a: float
@@ -42,21 +48,15 @@ class GridHamiltonian:
     delta_m: float
     extent: float = 8.0
     n_grid: int = 512
-    n_states: int | None = None  # two-site truncation; None = dense default
+    n_states: int = 150  # two-site states kept
 
     def __post_init__(self):
         if self.n_sites not in (1, 2):
             raise ValueError("grid diagonalization supports 1 or 2 sites")
         if self.extent <= 0 or self.n_grid < 16:
             raise ValueError("need positive extent and a reasonable grid")
-
-    @cached_property
-    def x_axis(self) -> np.ndarray:
-        return np.linspace(-self.extent, self.extent, self.n_grid)
-
-    @property
-    def spacing(self) -> float:
-        return self.x_axis[1] - self.x_axis[0]
+        if self.n_sites == 2 and not 0 < self.n_states <= self.n_grid ** 2 // 4:
+            raise ValueError("two sites need 0 < n_states <= n_grid^2 / 4")
 
     @property
     def energy_shift(self) -> float:
@@ -69,29 +69,18 @@ class GridHamiltonian:
 
     @cached_property
     def _solution(self):
-        """(energies, displacement matrix elements per site) in the eigenbasis."""
-        x = self.x_axis
-        lap = _laplacian_1d(self.n_grid, self.spacing)
+        """(energies, displacement matrix per site) of the kept states."""
+        x = np.linspace(-self.extent, self.extent, self.n_grid)
+        ham = -0.5 * _laplacian_1d(self.n_grid, x[1] - x[0]) + np.diag(self._onsite(x))
         if self.n_sites == 1:
-            ham = (-0.5 * lap + sp.diags(self._onsite(x))).toarray()
             ham -= self.energy_shift * np.eye(self.n_grid)
-            energies, vecs = np.linalg.eigh(ham)
-            xmats = [vecs.T @ (x[:, None] * vecs)]
-            return energies, xmats
-        eye = sp.identity(self.n_grid, format="csr")
-        kinetic = -0.5 * (sp.kron(lap, eye) + sp.kron(eye, lap))
-        x1 = np.repeat(x, self.n_grid)
-        x2 = np.tile(x, self.n_grid)
-        pot = (self._onsite(x1) + self._onsite(x2)
-               + self.J * (x1 - x2) ** 2 - self.energy_shift)
-        ham = (kinetic + sp.diags(pot)).tocsc()
-        k = self.n_states or 150
-        # shift-invert: the shifted spectrum starts near 0, so sigma=-1 is safe
-        energies, vecs = eigsh(ham, k=k, sigma=-1.0, which="LM")
-        order = np.argsort(energies)
-        energies, vecs = energies[order], vecs[:, order]
-        xmats = [vecs.T @ (x1[:, None] * vecs), vecs.T @ (x2[:, None] * vecs)]
-        return energies, xmats
+            return _lowest(ham, [np.diag(x)], self.n_grid)
+        k = math.isqrt(4 * self.n_states - 1) + 1  # smallest k with k^2 >= 4 n_states
+        e, (xk, xsq) = _lowest(ham, [np.diag(x), np.diag(x ** 2)], k)
+        one = np.eye(k)
+        pair = (np.diag(np.add.outer(e, e).ravel() - self.energy_shift)
+                + self.J * (np.kron(xsq, one) + np.kron(one, xsq) - 2.0 * np.kron(xk, xk)))
+        return _lowest(pair, [np.kron(xk, one), np.kron(one, xk)], self.n_states)
 
     @property
     def energies(self) -> np.ndarray:
@@ -102,7 +91,7 @@ class GridHamiltonian:
 
 
 def thermal_trace(ham: GridHamiltonian, beta_hat: float) -> float:
-    """log Tr e^{-beta_hat H} over the grid spectrum (ground energy subtracted).
+    """log Tr e^{-beta_hat H} over the kept spectrum (ground energy subtracted).
 
     Terms below 1e-16 of the leading one are dropped; with the subtraction the
     harmonic one-site value is -log(1 - e^{-beta_hat sqrt(a)}).
@@ -119,9 +108,9 @@ def thermal_correlation(ham: GridHamiltonian, beta_hat: float, tau: float,
                         site_a: int = 0, site_b: int = 0) -> float:
     """Euclidean correlation Tr[x_a e^{-tau H} x_b e^{-(beta-tau) H}] / Tr e^{-beta H}.
 
-    Symmetric about tau = beta_hat / 2 by cyclicity.  For truncated two-site
-    spectra the time arguments should stay away from 0 and beta_hat by a
-    fraction of a unit so the missing high states are exponentially muted.
+    Symmetric about tau = beta_hat / 2 by cyclicity.  Two sites keep only
+    ``n_states`` states, so there tau should stay a fraction of a unit away
+    from 0 and beta_hat, where the missing high states are exponentially muted.
     """
     if not (0.0 <= tau <= beta_hat):
         raise ValueError("tau must lie in [0, beta_hat]")
@@ -135,15 +124,16 @@ def thermal_correlation(ham: GridHamiltonian, beta_hat: float, tau: float,
 
 def convergence_check(ham: GridHamiltonian, beta_hat: float, taus,
                       factor_extent: float = 1.25, factor_grid: int = 2) -> dict:
-    """Re-solve on a (1.25 X, 2 G) grid and report the largest shifts.
+    """Re-solve with (1.25 X, 2 G, 2 n_states) and report the largest shifts.
 
-    Returns the drift of log Z and of each requested correlation; values
-    above 1e-4 flag an unconverged discretization.
+    Doubling the kept two-site states covers the basis cut as well as the
+    grid.  Returns the drift of log Z and of each requested correlation;
+    values above 1e-4 flag an unconverged solve.
     """
     finer = GridHamiltonian(
         n_sites=ham.n_sites, a=ham.a, J=ham.J, b_m=ham.b_m, delta_m=ham.delta_m,
         extent=ham.extent * factor_extent, n_grid=ham.n_grid * factor_grid,
-        n_states=ham.n_states,
+        n_states=ham.n_states * factor_grid,
     )
     drift_z = abs(thermal_trace(ham, beta_hat) - thermal_trace(finer, beta_hat))
     drift_c = max(

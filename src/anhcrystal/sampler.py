@@ -509,12 +509,14 @@ def truncated_two_point(ensemble: Ensemble, p1, p2, n_samples: int,
     return _weighted_result(sums, connected, n_samples, seed)
 
 
-def two_point_table(ensemble: Ensemble, time_lag: int, n_samples: int, seed: int):
+def two_point_table(ensemble: Ensemble, time_lag, n_samples: int, seed: int):
     """Translation-averaged connected correlations for all site displacements.
 
     Returns (K, K_err) arrays indexed by the displacement in FFT order; uses
     the space-time autocorrelation of each sample, so every site and time
-    origin contributes.  Periodic boxes only.
+    origin contributes.  ``time_lag`` is one lag in slices, or a sequence of
+    lags: then K and K_err gain a trailing lag axis, and one set of draws
+    serves every lag.  Periodic boxes only.
     """
     if ensemble.lattice.boundary is not Boundary.PERIODIC:
         raise ValueError("translation averaging needs a periodic box")

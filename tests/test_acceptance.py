@@ -93,22 +93,26 @@ def test_04_sampler_matches_spectral_oracle():
     params = ModelParams(m=1.0, a=1.0, b=0.5, delta=1.0, J=0.25, beta=2.0,
                          dims=(2,))
     r = rescale(params)
-    ham = GridHamiltonian(n_sites=1, a=1.0, J=0.0, b_m=r.b_m, delta_m=r.delta_m)
-    ens = Ensemble(lattice=Lattice(1, (1,)), a=1.0, J=0.0, beta_hat=r.beta_hat,
-                   n_slices=32, b_m=r.b_m, delta_m=r.delta_m, d=1,
-                   bc=periodic_bc())
     grid_tolerance = 1e-4  # documented oracle discretization budget
     details = []
-    for tau in (0.0, 0.5, 1.0):
-        lag = round(tau / ens.grid.delta_tau)
-        k, e = two_point_table(ens, time_lag=lag, n_samples=200_000, seed=42)
-        mc, err = float(k[0]), float(e[0])
-        exact = thermal_correlation(ham, r.beta_hat, tau)
-        combined = math.hypot(err, grid_tolerance)
-        assert abs(mc - exact) <= 4.0 * combined, (tau, mc, exact, err)
-        assert err <= 0.01 * abs(exact)
-        details.append(f"tau={tau}: {abs(mc - exact) / combined:.2f} sigma, "
-                       f"stderr {err / abs(exact) * 100:.2f}%")
+    # one uncoupled site, then the periodic pair whose bond and wells act together
+    for n_sites, J, taus in ((1, 0.0, (0.0, 0.5, 1.0)), (2, 0.25, (0.25, 0.5, 1.0))):
+        ham = GridHamiltonian(n_sites=n_sites, a=1.0, J=J, b_m=r.b_m, delta_m=r.delta_m)
+        ens = Ensemble(lattice=Lattice(1, (n_sites,)), a=1.0, J=J, beta_hat=r.beta_hat,
+                       n_slices=32, b_m=r.b_m, delta_m=r.delta_m, d=1,
+                       bc=periodic_bc())
+        lags = [round(tau / ens.grid.delta_tau) for tau in taus]
+        k, e = two_point_table(ens, time_lag=lags, n_samples=200_000, seed=42)
+        for i, tau in enumerate(taus):
+            for site in range(n_sites):
+                mc, err = float(k[site, i]), float(e[site, i])
+                exact = thermal_correlation(ham, r.beta_hat, tau, 0, site)
+                combined = math.hypot(err, grid_tolerance)
+                assert abs(mc - exact) <= 4.0 * combined, (n_sites, tau, site, mc, exact, err)
+                assert err <= 0.01 * abs(exact)
+                details.append(f"{n_sites} site(s) C(0,{site};tau={tau}): "
+                               f"{abs(mc - exact) / combined:.2f} sigma, "
+                               f"stderr {err / abs(exact) * 100:.2f}%")
     report(4, "; ".join(details))
 
 

@@ -198,6 +198,17 @@ class TestOracleCommand:
         assert rows[0] == "tau,correlation"
         assert len(rows) == 3
 
+    def test_two_sites_byte_reproducible(self, tmp_path):
+        cfg = write_config(tmp_path, d=1)
+        tables = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            rc = main(["--config", str(cfg), "--out", str(out), "oracle", "--sites", "2"])
+            assert rc == 0
+            tables.append((out / "oracle.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert len(tables[0].decode().strip().splitlines()) == 4
+
     def test_infinite_beta_rejected(self, tmp_path):
         cfg = write_config(tmp_path, d=1, beta="inf")
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"),

@@ -83,7 +83,6 @@ class TestGridConvergence:
         report = convergence_check(anharmonic_site, 2.0, taus=(0.5, 1.0))
         assert report["converged"], report
 
-    @pytest.mark.slow
     def test_two_site_stable(self):
         ham = GridHamiltonian(n_sites=2, a=1.0, J=0.25, b_m=0.5, delta_m=1.0,
                               extent=8.0, n_grid=96, n_states=150)
@@ -100,3 +99,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             GridHamiltonian(n_sites=1, a=1.0, J=0.0, b_m=0.0, delta_m=1.0,
                             n_grid=4)
+        with pytest.raises(ValueError):  # 150 states need 25 one-site states
+            GridHamiltonian(n_sites=2, a=1.0, J=0.25, b_m=0.0, delta_m=1.0,
+                            n_grid=16)

@@ -199,6 +199,17 @@ class TestTwoPoint:
             exact = ens.kernel.closed((dj,), (0,), 0.0)
             assert abs(k[dj] - exact) < 4.0 * err[dj]
 
+    def test_lag_sequence_matches_scalar_calls(self):
+        ens = chain_ensemble(b_m=0.4)
+        lags = [0, 3, 8]
+        k, err = two_point_table(ens, time_lag=lags, n_samples=5_000, seed=9)
+        assert k.shape == err.shape == (4, len(lags))
+        for i, lag in enumerate(lags):
+            k1, err1 = two_point_table(ens, time_lag=lag, n_samples=5_000, seed=9)
+            assert k1.shape == (4,)
+            np.testing.assert_allclose(k[:, i], k1, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(err[:, i], err1, rtol=1e-12, atol=1e-15)
+
 
 class TestTempered:
     def test_weighted_sum_and_validation(self):
