@@ -14,18 +14,16 @@ from .lattice import Boundary, Lattice, Rod, RodMode, dispersion, dual_modes, ro
 from .params import (ModelParams, RescaledParams, beta_threshold, epsilon_of_m,
                      field_threshold, mass_threshold, rescale, unrescale)
 from .potential import auxiliary_potential, nth_derivative
-from .sampler import (BoundaryCondition, Ensemble, EstimatorResult,
-                      FieldConfiguration, expectation, sample_gaussian_field)
+from .sampler import BoundaryCondition, Ensemble, EstimatorResult, expectation
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Boundary", "BoundaryCondition", "CovarianceKernel", "Ensemble",
-    "EstimatorResult", "FieldConfiguration", "FieldGrid",
+    "EstimatorResult", "FieldGrid",
     "InterpolatedCovariance", "Lattice", "ModelParams",
     "RescaledParams", "Rod", "RodMode", "auxiliary_potential",
     "beta_threshold", "convex_decomposition", "dispersion", "dual_modes",
     "epsilon_of_m", "expectation", "field_threshold", "mass_threshold",
-    "nth_derivative", "rescale", "rod_partition", "sample_gaussian_field",
-    "unrescale",
+    "nth_derivative", "rescale", "rod_partition", "unrescale",
 ]

@@ -15,9 +15,10 @@ covariance-preserving autocorrelation MCMC with Metropolis correction
 reference Gaussian into the same Gaussian with mean m = -C l, so importance
 sampling draws phi = psi + m and weights it by exp(-dt sum V(phi)) alone:
 for every field and boundary the weight lies in (0, 1] and no log-weight can
-overflow.  One core serves every estimator: ``accumulate`` sums columns over
-chunked draws in N_BATCHES batches, ``jackknife`` gives the delete-one-batch
-error of any ratio of column sums, and the ESS is Kong's (sum w)^2 / sum w^2.
+overflow; the MCMC runs on the same shifted reference.  One core serves
+every importance-sampling estimator: ``accumulate`` sums columns over chunked
+draws in N_BATCHES batches, ``jackknife`` gives the delete-one-batch error of
+any ratio of column sums, and the ESS is Kong's (sum w)^2 / sum w^2.
 """
 
 from __future__ import annotations
@@ -56,21 +57,6 @@ class EstimatorResult:
         return gap <= n_sigma * math.hypot(self.stderr, other.stderr)
 
 
-def merge_results(results) -> EstimatorResult:
-    """Merge independently seeded streams by sample-count weighting.
-
-    Associative and order independent: the merged mean and variance depend
-    only on the multiset of inputs.
-    """
-    results = sorted(results, key=lambda r: (r.seed, r.n_samples))
-    n = sum(r.n_samples for r in results)
-    mean = sum(r.n_samples * r.mean for r in results) / n
-    var = sum((r.n_samples * r.stderr) ** 2 for r in results) / n ** 2
-    ess = sum(r.ess for r in results)
-    return EstimatorResult(mean=mean, stderr=math.sqrt(var), n_samples=n,
-                           seed=results[0].seed, ess=ess)
-
-
 # -- boundary conditions -------------------------------------------------------
 
 
@@ -107,52 +93,19 @@ def tempered_bc(xi: dict) -> BoundaryCondition:
     return BoundaryCondition(kind=BoundaryKind.TEMPERED, xi=dict(xi))
 
 
-def tempered_weighted_sum(xi: dict, rho: float, beta_hat: float) -> float:
-    """Finite check of the tempered-configuration norm sum_l e^{-rho|l|} ||xi_l||.
-
-    The trajectory norm is the L2 norm over one time period.  rho must stay
-    below sqrt(a) for the boundary series of the perturbed measure to make
-    sense; callers supply rho (default a/4-scale choices live upstream).
-    """
-    if rho <= 0:
-        raise ValueError("temperedness weight rho must be positive")
-    total = 0.0
-    for coords, traj in xi.items():
-        traj = np.asarray(traj, dtype=float)
-        n_slices = traj.shape[0]
-        norm = math.sqrt(beta_hat / n_slices * float(np.sum(traj ** 2)))
-        total += math.exp(-rho * float(np.sum(np.abs(coords)))) * norm
-    if not math.isfinite(total):
-        raise ValueError("tempered norm sum is not finite")
-    return total
-
-
 # -- exact Gaussian sampling ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FieldConfiguration:
-    """One trajectory field: values[site..., slice, component]."""
-
-    values: np.ndarray
-    beta_hat: float
-
-    @property
-    def n_slices(self) -> int:
-        return self.values.shape[-2]
-
-    @property
-    def delta_tau(self) -> float:
-        return self.beta_hat / self.n_slices
 
 
 class GaussianFieldSampler:
     """Draws mean-zero fields whose covariance is the grid kernel, exactly.
 
-    Periodic boxes: phi = F^-1( sqrt(lambda) F xi ) with F the space-time FFT
-    and lambda the (nonnegative) circulant spectrum.  Dirichlet boxes use the
-    orthonormal sine transform in space and the FFT in time.  Deterministic
-    given the generator state; components are independent.
+    Periodic boxes: phi = F^-1( sqrt(lambda) F z ) with F the space-time FFT
+    and lambda the (nonnegative) circulant spectrum.  The spectrum is real and
+    even, so the filter maps real fields to real fields, and the real
+    half-spectrum transforms (``rfftn`` / ``irfftn``, halved along time)
+    compute it with about half the work of complex ones.  Dirichlet boxes use
+    the orthonormal sine transform in space and the real FFT in time.
+    Deterministic given the generator state; components are independent.
     """
 
     def __init__(self, kernel: CovarianceKernel, n_slices: int, d: int = 1):
@@ -162,49 +115,45 @@ class GaussianFieldSampler:
         if self.n_slices < 2:
             raise ValueError("need at least two time slices")
         self.lattice = kernel.lattice
-        self._sqrt_eig = np.sqrt(kernel.grid_eigenvalues(self.n_slices))[..., None]
-        self._space_axes = tuple(range(self.lattice.nu))
-        self._st_axes = tuple(range(self.lattice.nu + 1))
+        half = self.n_slices // 2 + 1  # the nonnegative time frequencies
+        self._sqrt_eig = np.sqrt(kernel.grid_eigenvalues(self.n_slices))[..., :half, None]
+        self._periodic = kernel.boundary is Boundary.PERIODIC
 
     @property
     def shape(self) -> tuple:
         return self.lattice.dims + (self.n_slices, self.d)
 
+    def _filter(self, x: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """F^-1 (factor F x) over the Fourier axes of fields x (leading axes free).
+
+        The Fourier axes are space and time in a periodic box and time alone
+        in a Dirichlet box; ``factor`` lives on the half spectrum.
+        """
+        time_axis = x.ndim - 2
+        first = time_axis - self.lattice.nu if self._periodic else time_axis
+        axes = tuple(range(first, time_axis + 1))
+        xh = scipy.fft.rfftn(x, axes=axes)
+        xh *= factor
+        return scipy.fft.irfftn(xh, s=[x.shape[a] for a in axes], axes=axes,
+                                overwrite_x=True)
+
+    def _sine(self, x: np.ndarray) -> np.ndarray:
+        """The orthonormal sine transform over the space axes (its own inverse)."""
+        time_axis = x.ndim - 2
+        return scipy.fft.dstn(x, type=1, norm="ortho",
+                              axes=tuple(range(time_axis - self.lattice.nu, time_axis)))
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n independent fields, shape (n, *dims, n_slices, d)."""
-        z = rng.standard_normal((n,) + self.shape)
-        axes = tuple(a + 1 for a in self._st_axes)
-        if self.kernel.boundary is Boundary.PERIODIC:
-            zh = np.fft.fftn(z, axes=axes)
-            zh *= self._sqrt_eig
-            return np.fft.ifftn(zh, axes=axes).real
-        time_axis = self.lattice.nu + 1
-        zh = np.fft.fft(z, axis=time_axis)
-        zh *= self._sqrt_eig
-        y = np.fft.ifft(zh, axis=time_axis).real
-        return scipy.fft.dstn(y, type=1, norm="ortho",
-                              axes=tuple(a + 1 for a in self._space_axes))
+        y = self._filter(rng.standard_normal((n,) + self.shape), self._sqrt_eig)
+        return y if self._periodic else self._sine(y)
 
     def apply_covariance(self, c: np.ndarray) -> np.ndarray:
         """Apply the grid covariance operator to a field-shaped vector."""
         lam = self._sqrt_eig ** 2
-        if self.kernel.boundary is Boundary.PERIODIC:
-            ch = np.fft.fftn(c, axes=self._st_axes)
-            return np.fft.ifftn(lam * ch, axes=self._st_axes).real
-        time_axis = self.lattice.nu
-        y = scipy.fft.dstn(c, type=1, norm="ortho", axes=self._space_axes)
-        yh = np.fft.fft(y, axis=time_axis)
-        y = np.fft.ifft(lam * yh, axis=time_axis).real
-        return scipy.fft.dstn(y, type=1, norm="ortho", axes=self._space_axes)
-
-
-def sample_gaussian_field(kernel: CovarianceKernel, n_slices: int, seed: int,
-                          d: int = 1) -> FieldConfiguration:
-    """One exact draw from the reference Gaussian on the grid."""
-    sampler = GaussianFieldSampler(kernel, n_slices, d)
-    rng = np.random.default_rng(seed)
-    return FieldConfiguration(values=sampler.sample(rng, 1)[0],
-                              beta_hat=kernel.beta_hat)
+        if self._periodic:
+            return self._filter(c, lam)
+        return self._sine(self._filter(self._sine(c), lam))
 
 
 # -- the Gibbs ensemble --------------------------------------------------------
@@ -293,11 +242,15 @@ class Ensemble:
         dens = self.potential_density(phi)
         return np.exp(-self.grid.delta_tau * dens.sum(axis=tuple(range(1, dens.ndim))))
 
-    def action(self, phi: np.ndarray) -> np.ndarray:
-        """Grid action S = dt sum V + l . phi for a batch of fields (leading batch axis)."""
+    def action(self, phi: np.ndarray, linear: bool = True) -> np.ndarray:
+        """Grid action S = dt sum V + l . phi for a batch of fields (leading batch axis).
+
+        With ``linear=False`` the l . phi term is left out: dt sum V is the
+        action relative to the shifted reference N(m, C).
+        """
         dens = self.potential_density(phi)
         s = self.grid.delta_tau * dens.sum(axis=tuple(range(1, dens.ndim)))
-        if self.linear_term is not None:
+        if linear and self.linear_term is not None:
             s = s + np.sum(phi * self.linear_term, axis=tuple(range(1, phi.ndim)))
         return s
 
@@ -334,14 +287,6 @@ class Ensemble:
             return proj.mean(axis=tuple(range(1, proj.ndim)))
 
         return observable
-
-
-# -- action fixed on one configuration -----------------------------------------
-
-
-def action_integral(phi: FieldConfiguration, ensemble: Ensemble) -> float:
-    """Grid action of a single field configuration under the ensemble."""
-    return float(ensemble.action(phi.values[None, ...])[0])
 
 
 # -- the importance-sampling core ------------------------------------------------
@@ -452,9 +397,15 @@ def pcn_expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
                     rho_prop: float = 0.9, burn_in: int | None = None) -> EstimatorResult:
     """Markov chain estimate with the covariance-preserving mixing proposal.
 
-    Proposal phi' = rho phi + sqrt(1 - rho^2) xi with xi a fresh reference
-    draw leaves the Gaussian invariant; the Metropolis correction acts on
-    exp(-S) alone.  Error bars use the integrated autocorrelation time.
+    Like importance sampling, the chain runs on the shifted reference: its
+    state is psi = phi - m, with m = -C l the exact mean shift of the linear
+    action terms.  The proposal psi' = rho psi + sqrt(1 - rho^2) xi, with xi
+    a fresh reference draw, leaves N(0, C) invariant, and the Metropolis
+    correction acts on dt sum V(psi + m) alone.  The noise xi and the
+    Metropolis uniforms do not depend on the chain's state, so they are drawn
+    in chunks of at most MAX_CHUNK steps; the step loop only mixes, evaluates
+    the action and accepts, and the observable is evaluated once per chunk on
+    the chain's fields.  Error bars use the integrated autocorrelation time.
     """
     if not (0.0 <= rho_prop < 1.0):
         raise ValueError("mixing parameter must lie in [0, 1)")
@@ -462,16 +413,27 @@ def pcn_expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
     if burn_in is None:
         burn_in = max(200, n_samples // 10)
     mix = math.sqrt(1.0 - rho_prop ** 2)
-    phi = ensemble.sampler.sample(rng, 1)
-    s = float(ensemble.action(phi)[0])
-    trace = np.empty(n_samples)
-    for step in range(burn_in + n_samples):
-        prop = rho_prop * phi + mix * ensemble.sampler.sample(rng, 1)
-        s_prop = float(ensemble.action(prop)[0])
-        if math.log(rng.uniform()) < s - s_prop:
-            phi, s = prop, s_prop
-        if step >= burn_in:
-            trace[step - burn_in] = observable(phi)[0]
+    shift = None if ensemble.linear_term is None else ensemble.mean_shift
+
+    def shifted(psi):
+        return psi if shift is None else psi + shift
+
+    psi = ensemble.sampler.sample(rng, 1)
+    s = float(ensemble.action(shifted(psi), linear=False)[0])
+    n_steps = burn_in + n_samples
+    trace = np.empty(n_steps)
+    for start in range(0, n_steps, MAX_CHUNK):
+        k = min(MAX_CHUNK, n_steps - start)
+        chain = ensemble.sampler.sample(rng, k)  # the noise, overwritten by the states
+        log_u = np.log(rng.uniform(size=k))
+        for i in range(k):
+            prop = rho_prop * psi + mix * chain[i]
+            s_prop = float(ensemble.action(shifted(prop), linear=False)[0])
+            if log_u[i] < s - s_prop:
+                psi, s = prop, s_prop
+            chain[i] = psi[0]
+        trace[start:start + k] = observable(shifted(chain))
+    trace = trace[burn_in:]
     tau = integrated_autocorrelation_time(trace)
     var = float(np.var(trace, ddof=1))
     ess = n_samples / (2.0 * tau)
@@ -513,24 +475,24 @@ def two_point_table(ensemble: Ensemble, time_lag, n_samples: int, seed: int):
     """Translation-averaged connected correlations for all site displacements.
 
     Returns (K, K_err) arrays indexed by the displacement in FFT order; uses
-    the space-time autocorrelation of each sample, so every site and time
-    origin contributes.  ``time_lag`` is one lag in slices, or a sequence of
-    lags: then K and K_err gain a trailing lag axis, and one set of draws
-    serves every lag.  Periodic boxes only.
+    the space-time autocorrelation irfftn(|rfftn(phi)|^2) of each sample, so
+    every site and time origin contributes.  ``time_lag`` is one lag in
+    slices, or a sequence of lags: then K and K_err gain a trailing lag axis,
+    and one set of draws serves every lag.  Periodic boxes only.
     """
     if ensemble.lattice.boundary is not Boundary.PERIODIC:
         raise ValueError("translation averaging needs a periodic box")
     if ensemble.d != 1:
         raise ValueError("translation-averaged tables are single-component")
-    shape = ensemble.lattice.dims
     norm = ensemble.lattice.n_sites * ensemble.n_slices
     axes = tuple(range(1, ensemble.lattice.nu + 2))
 
     def columns(phi):  # w, w * R(dx), w * box mean, each broadcast to the table
         w = ensemble.weight(phi)
         phi = phi[..., 0]
-        f = np.fft.fftn(phi, axes=axes)
-        corr = np.fft.ifftn(f * np.conj(f), axes=axes).real / norm
+        f = scipy.fft.rfftn(phi, axes=axes)
+        f *= f.conj()
+        corr = scipy.fft.irfftn(f, s=phi.shape[1:], axes=axes, overwrite_x=True) / norm
         return np.broadcast_arrays(w.sum(), np.tensordot(w, corr[..., time_lag], axes=(0, 0)),
                                    (w * phi.mean(axis=axes)).sum())
 

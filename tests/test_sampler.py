@@ -1,20 +1,76 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from anhcrystal import sampler as sampler_module
 from anhcrystal.covariance import CovarianceKernel
 from anhcrystal.lattice import Boundary, Lattice
 from anhcrystal.params import ModelParams, rescale
-from anhcrystal.sampler import (N_BATCHES, BoundaryKind, Ensemble, EstimatorResult,
-                                GaussianFieldSampler, action_integral,
-                                boundary_mean_shift, doubled_measure_correlation,
-                                expectation, gap_estimate, jackknife, merge_results,
-                                pcn_expectation, periodic_bc,
-                                reweight_expectation, sample_gaussian_field,
-                                tempered_bc, tempered_weighted_sum,
-                                truncated_two_point, two_point_table, zero_bc)
+from anhcrystal.sampler import (N_BATCHES, Ensemble, EstimatorResult,
+                                GaussianFieldSampler, accumulate, boundary_mean_shift,
+                                doubled_measure_correlation, expectation, gap_estimate,
+                                jackknife, pcn_expectation, periodic_bc,
+                                reweight_expectation, tempered_bc, truncated_two_point,
+                                two_point_table, zero_bc)
+
+# -- single-draw helpers, used only by these tests ------------------------------
+
+
+@dataclass(frozen=True)
+class FieldConfiguration:
+    """One trajectory field: values[site..., slice, component]."""
+
+    values: np.ndarray
+    beta_hat: float
+
+
+def sample_gaussian_field(kernel: CovarianceKernel, n_slices: int, seed: int,
+                          d: int = 1) -> FieldConfiguration:
+    """One exact draw from the reference Gaussian on the grid."""
+    sampler = GaussianFieldSampler(kernel, n_slices, d)
+    rng = np.random.default_rng(seed)
+    return FieldConfiguration(values=sampler.sample(rng, 1)[0], beta_hat=kernel.beta_hat)
+
+
+def action_integral(phi: FieldConfiguration, ensemble: Ensemble) -> float:
+    """Grid action of a single field configuration under the ensemble."""
+    return float(ensemble.action(phi.values[None, ...])[0])
+
+
+def merge_results(results) -> EstimatorResult:
+    """Merge independently seeded streams by sample-count weighting.
+
+    Associative and order independent: the merged mean and variance depend
+    only on the multiset of inputs.
+    """
+    results = sorted(results, key=lambda r: (r.seed, r.n_samples))
+    n = sum(r.n_samples for r in results)
+    mean = sum(r.n_samples * r.mean for r in results) / n
+    var = sum((r.n_samples * r.stderr) ** 2 for r in results) / n ** 2
+    ess = sum(r.ess for r in results)
+    return EstimatorResult(mean=mean, stderr=math.sqrt(var), n_samples=n,
+                           seed=results[0].seed, ess=ess)
+
+
+def tempered_weighted_sum(xi: dict, rho: float, beta_hat: float) -> float:
+    """Finite check of the tempered-configuration norm sum_l e^{-rho|l|} ||xi_l||.
+
+    The trajectory norm is the L2 norm over one time period.
+    """
+    if rho <= 0:
+        raise ValueError("temperedness weight rho must be positive")
+    total = 0.0
+    for coords, traj in xi.items():
+        traj = np.asarray(traj, dtype=float)
+        norm = math.sqrt(beta_hat / traj.shape[0] * float(np.sum(traj ** 2)))
+        total += math.exp(-rho * float(np.sum(np.abs(coords)))) * norm
+    if not math.isfinite(total):
+        raise ValueError("tempered norm sum is not finite")
+    return total
 
 
 def single_site_ensemble(b_m=0.5, delta_m=1.0, beta_hat=2.0, n_slices=32, **kw):
@@ -68,6 +124,42 @@ class TestGaussianSampler:
         phi = sampler.sample(rng, 40_000)
         cross = np.mean(phi[..., 0] * phi[..., 1])
         assert abs(cross) < 4.0 * 0.5 / math.sqrt(40_000)
+
+
+class TestRealTransforms:
+    # the half-spectrum filters against the complex transforms they replace
+    @pytest.mark.parametrize("nu, dims, boundary, n_slices, d", [
+        (1, (6,), Boundary.PERIODIC, 8, 1),
+        (2, (4, 6), Boundary.PERIODIC, 8, 1),
+        (1, (5,), Boundary.PERIODIC, 8, 2),
+        (1, (4,), Boundary.PERIODIC, 9, 1),
+        (1, (5,), Boundary.DIRICHLET, 7, 1),
+    ])
+    def test_sample_and_covariance_equal_complex_filter(self, nu, dims, boundary,
+                                                         n_slices, d):
+        kern = CovarianceKernel(Lattice(nu, dims, boundary), 1.0, 0.25, 2.0)
+        sampler = GaussianFieldSampler(kern, n_slices, d)
+        phi = sampler.sample(np.random.default_rng(11), 7)
+        z = np.random.default_rng(11).standard_normal(phi.shape)
+        lam = kern.grid_eigenvalues(n_slices)[..., None]
+        space = tuple(range(1, nu + 1))
+
+        def complex_filter(x, factor):
+            if boundary is Boundary.PERIODIC:
+                axes = space + (nu + 1,)
+                return np.fft.ifftn(factor * np.fft.fftn(x, axes=axes), axes=axes).real
+            return np.fft.ifft(factor * np.fft.fft(x, axis=nu + 1), axis=nu + 1).real
+
+        def sine(x):
+            return scipy.fft.dstn(x, type=1, norm="ortho", axes=space)
+
+        ref = complex_filter(z, np.sqrt(lam))
+        cov = complex_filter(z[:1], lam)
+        if boundary is not Boundary.PERIODIC:
+            ref, cov = sine(ref), sine(complex_filter(sine(z[:1]), lam))
+        np.testing.assert_allclose(phi, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+        np.testing.assert_allclose(sampler.apply_covariance(z[0]), cov[0], rtol=0,
+                                   atol=1e-12 * np.abs(cov).max())
 
 
 class TestAction:
@@ -210,6 +302,25 @@ class TestTwoPoint:
             np.testing.assert_allclose(k[:, i], k1, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(err[:, i], err1, rtol=1e-12, atol=1e-15)
 
+    def test_table_equals_complex_autocorrelation(self):
+        ens = chain_ensemble(n=6, b_m=0.4, n_slices=9, h_hat=(0.3,))
+        lags = [0, 2, 5]
+        axes = (1, 2)
+
+        def columns(phi):  # two_point_table's columns through complex transforms
+            w = ens.weight(phi)
+            phi = phi[..., 0]
+            f = np.fft.fftn(phi, axes=axes)
+            corr = np.fft.ifftn(f * np.conj(f), axes=axes).real / (6 * 9)
+            return np.broadcast_arrays(w.sum(), np.tensordot(w, corr[..., lags], axes=(0, 0)),
+                                       (w * phi.mean(axis=axes)).sum())
+
+        sums = accumulate(ens.draw, columns, 2_000, seed=4)
+        k_ref, e_ref = jackknife(sums, lambda c: c[1] / c[0] - (c[2] / c[0]) ** 2)
+        k, e = two_point_table(ens, lags, 2_000, seed=4)
+        np.testing.assert_allclose(k, k_ref, rtol=0, atol=1e-12 * np.abs(k_ref).max())
+        np.testing.assert_allclose(e, e_ref, rtol=0, atol=1e-12 * np.abs(e_ref).max())
+
 
 class TestTempered:
     def test_weighted_sum_and_validation(self):
@@ -307,13 +418,16 @@ class TestImportanceCore:
     def strong_field(self, h):
         return chain_ensemble(n=4, b_m=0.0, n_slices=16, h_hat=(h,))
 
-    def test_strong_field_mean_is_the_exact_gaussian_shift(self):
+    def dense_mean(self, ens, h):
         # with b_m = 0 the measure is the reference Gaussian tilted by
         # exp(-l . phi): its mean is -C l, here -h dt (row sums of C)
-        ens = self.strong_field(30.0)
         points = [(i, s) for i in range(4) for s in range(16)]
         rows = ens.kernel.grid_matrix(points, 16).sum(axis=1)
-        exact = float(np.mean(-30.0 * ens.grid.delta_tau * rows))
+        return float(np.mean(-h * ens.grid.delta_tau * rows))
+
+    def test_strong_field_mean_is_the_exact_gaussian_shift(self):
+        ens = self.strong_field(30.0)
+        exact = self.dense_mean(ens, 30.0)
         assert exact == pytest.approx(-30.04, abs=0.005)
         res = reweight_expectation(ens, ens.mean_displacement(), 5000, seed=1)
         assert abs(res.mean - exact) <= 4.0 * res.stderr, (res, exact)
@@ -356,3 +470,24 @@ class TestImportanceCore:
         one = reweight_expectation(ens, ens.phi_product([p1]), 20_000, seed=5)
         assert two.ess == pytest.approx(one.ess, rel=1e-12)
         assert two.ess < 20_000
+
+    @pytest.mark.parametrize("h", [3.0, 30.0])
+    def test_pcn_runs_on_the_shifted_reference(self, h):
+        # the chain proposes around the mean -C l, so the linear terms cost it
+        # nothing: at b_m = 0 every proposal is accepted and the chain mixes
+        # as the autoregression of the proposal alone, whatever the field
+        ens = self.strong_field(h)
+        exact = self.dense_mean(ens, h)
+        res = pcn_expectation(ens, ens.mean_displacement(), 5000, seed=3)
+        assert abs(res.mean - exact) <= 4.0 * res.stderr, (res, exact)
+        assert res.ess >= 100, res
+
+    def test_pcn_chain_carries_across_chunks(self, monkeypatch):
+        # 64-step chunks: the chain's state and its trace must run on
+        # unbroken across 86 chunk boundaries
+        monkeypatch.setattr(sampler_module, "MAX_CHUNK", 64)
+        ens = chain_ensemble(n=4, b_m=0.3, n_slices=16, h_hat=(0.5,))
+        obs = ens.mean_displacement()
+        chain = pcn_expectation(ens, obs, 5000, seed=4)
+        direct = reweight_expectation(ens, obs, 20_000, seed=5)
+        assert chain.compatible(direct, n_sigma=4.0), (chain, direct)
