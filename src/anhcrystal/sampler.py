@@ -38,6 +38,7 @@ from .lattice import Boundary, Lattice
 
 N_BATCHES = 50
 MAX_CHUNK = 16384
+CHAIN_CHUNK_VALUES = 1 << 18  # field values in one chunk of pCN proposals (2 MB)
 ESS_WARN_THRESHOLD = 100.0
 
 
@@ -242,15 +243,11 @@ class Ensemble:
         dens = self.potential_density(phi)
         return np.exp(-self.grid.delta_tau * dens.sum(axis=tuple(range(1, dens.ndim))))
 
-    def action(self, phi: np.ndarray, linear: bool = True) -> np.ndarray:
-        """Grid action S = dt sum V + l . phi for a batch of fields (leading batch axis).
-
-        With ``linear=False`` the l . phi term is left out: dt sum V is the
-        action relative to the shifted reference N(m, C).
-        """
+    def action(self, phi: np.ndarray) -> np.ndarray:
+        """Grid action S = dt sum V + l . phi for a batch of fields (leading batch axis)."""
         dens = self.potential_density(phi)
         s = self.grid.delta_tau * dens.sum(axis=tuple(range(1, dens.ndim)))
-        if linear and self.linear_term is not None:
+        if self.linear_term is not None:
             s = s + np.sum(phi * self.linear_term, axis=tuple(range(1, phi.ndim)))
         return s
 
@@ -397,13 +394,14 @@ def pcn_expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
                     rho_prop: float = 0.9, burn_in: int | None = None) -> EstimatorResult:
     """Markov chain estimate with the covariance-preserving mixing proposal.
 
-    Like importance sampling, the chain runs on the shifted reference: its
-    state is psi = phi - m, with m = -C l the exact mean shift of the linear
-    action terms.  The proposal psi' = rho psi + sqrt(1 - rho^2) xi, with xi
-    a fresh reference draw, leaves N(0, C) invariant, and the Metropolis
-    correction acts on dt sum V(psi + m) alone.  The noise xi and the
-    Metropolis uniforms do not depend on the chain's state, so they are drawn
-    in chunks of at most MAX_CHUNK steps; the step loop only mixes, evaluates
+    Like importance sampling, the chain runs on the shifted reference N(m, C),
+    with m = -C l the exact mean shift of the linear action terms.  The
+    proposal phi' = m + rho (phi - m) + sqrt(1 - rho^2) xi, with xi a fresh
+    reference draw, leaves N(m, C) invariant, and the Metropolis correction
+    acts on dt sum V(phi) alone: the action less its linear term.  The
+    proposal offsets and the Metropolis uniforms do not depend on the chain's
+    state, so they are drawn in chunks of at most CHAIN_CHUNK_VALUES field
+    values, whatever the chain's length; the step loop only mixes, evaluates
     the action and accepts, and the observable is evaluated once per chunk on
     the chain's fields.  Error bars use the integrated autocorrelation time.
     """
@@ -413,26 +411,31 @@ def pcn_expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
     if burn_in is None:
         burn_in = max(200, n_samples // 10)
     mix = math.sqrt(1.0 - rho_prop ** 2)
-    shift = None if ensemble.linear_term is None else ensemble.mean_shift
+    ell = ensemble.linear_term
+    centre = (1.0 - rho_prop) * ensemble.mean_shift
 
-    def shifted(psi):
-        return psi if shift is None else psi + shift
+    def relative_action(phi):  # dt sum V(phi) = S(phi) - l . phi
+        s = float(ensemble.action(phi)[0])
+        return s if ell is None else s - float(np.vdot(ell, phi))
 
-    psi = ensemble.sampler.sample(rng, 1)
-    s = float(ensemble.action(shifted(psi), linear=False)[0])
+    phi = ensemble.draw(rng, 1)
+    s = relative_action(phi)
     n_steps = burn_in + n_samples
+    per_chunk = max(1, CHAIN_CHUNK_VALUES // math.prod(ensemble.sampler.shape))
     trace = np.empty(n_steps)
-    for start in range(0, n_steps, MAX_CHUNK):
-        k = min(MAX_CHUNK, n_steps - start)
-        chain = ensemble.sampler.sample(rng, k)  # the noise, overwritten by the states
+    for start in range(0, n_steps, per_chunk):
+        k = min(per_chunk, n_steps - start)
+        chain = ensemble.sampler.sample(rng, k)  # the offsets, overwritten by the states
+        chain *= mix
+        chain += centre
         log_u = np.log(rng.uniform(size=k))
         for i in range(k):
-            prop = rho_prop * psi + mix * chain[i]
-            s_prop = float(ensemble.action(shifted(prop), linear=False)[0])
+            prop = rho_prop * phi + chain[i]
+            s_prop = relative_action(prop)
             if log_u[i] < s - s_prop:
-                psi, s = prop, s_prop
-            chain[i] = psi[0]
-        trace[start:start + k] = observable(shifted(chain))
+                phi, s = prop, s_prop
+            chain[i] = phi[0]
+        trace[start:start + k] = observable(chain)
     trace = trace[burn_in:]
     tau = integrated_autocorrelation_time(trace)
     var = float(np.var(trace, ddof=1))

@@ -483,11 +483,17 @@ class TestImportanceCore:
         assert res.ess >= 100, res
 
     def test_pcn_chain_carries_across_chunks(self, monkeypatch):
-        # 64-step chunks: the chain's state and its trace must run on
-        # unbroken across 86 chunk boundaries
-        monkeypatch.setattr(sampler_module, "MAX_CHUNK", 64)
+        # a chunk holds at most CHAIN_CHUNK_VALUES field values: 64 steps of
+        # 64-value fields here, so the chain's state and its trace must run
+        # on unbroken across 86 chunk boundaries
+        monkeypatch.setattr(sampler_module, "CHAIN_CHUNK_VALUES", 64 * 64)
         ens = chain_ensemble(n=4, b_m=0.3, n_slices=16, h_hat=(0.5,))
+        draws = []
+        sample = ens.sampler.sample
+        monkeypatch.setattr(ens.sampler, "sample",
+                            lambda rng, n: draws.append(n) or sample(rng, n))
         obs = ens.mean_displacement()
         chain = pcn_expectation(ens, obs, 5000, seed=4)
+        assert max(draws) == 64 and sum(draws) == 1 + 5500, draws
         direct = reweight_expectation(ens, obs, 20_000, seed=5)
         assert chain.compatible(direct, n_sigma=4.0), (chain, direct)
