@@ -16,6 +16,11 @@ couplings between blocks l < m carry the weight s_l ... s_{m-1}.  The tree
 factor is f(eta; s) = prod_m s_{eta(m)} ... s_{m-2}, and the order-1 term is
 the plain block expectation of A exp(-V(X_1)).
 
+K is estimated by randomized quasi-Monte Carlo over (s, z) jointly: each row
+of a scrambled Sobol sequence gives one s and the normals z of one draw from
+the interpolated Gaussian on the blocks' own points, and every tree of a rod
+sequence is scored on the same rows with its per-row weight f(eta; s).
+
 On the grid every functional identity becomes an exact finite-dimensional
 Gaussian integration-by-parts identity, which is what the verification suite
 exploits.  Two independent evaluators are provided: a symbolic expansion into
@@ -33,20 +38,21 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
 from .covariance import p_matrix
 from .grid import FieldGrid
 from .lattice import RodMode, RodPartition, rod_partition
-from .sampler import (N_BATCHES, Ensemble, accumulate, jackknife, jackknife_replicates,
-                      replicate_stderr)
+from .sampler import (CHUNK_VALUES, N_BATCHES, Ensemble, accumulate, jackknife,
+                      jackknife_replicates, replicate_stderr)
 
 MAX_TREE_ORDER = 8
 MAX_BF_ORDER = 7
 ORDER_CAP = {RodMode.LOW_TEMPERATURE: 3, RodMode.HIGH_TEMPERATURE: 4}
 GL_NODES = 8
 RQMC_BATCHES = 20
+_LETTERS = "abcdefgh"  # einsum subscripts of line ends; "n" is the batch axis
 
 
 # -- trees ---------------------------------------------------------------------
@@ -78,10 +84,6 @@ class Tree:
             counts[p - 1] += 1
         return tuple(counts)
 
-    def branch_index(self, k: int) -> int:
-        """1 + number of earlier vertices sharing vertex k's parent."""
-        return 1 + sum(1 for l in range(2, k) if self.eta(l) == self.eta(k))
-
 
 def enumerate_trees(n: int) -> list[Tree]:
     """All (n-1)! attachment maps of order n."""
@@ -95,17 +97,12 @@ def enumerate_trees(n: int) -> list[Tree]:
             for p in itertools.product(*(range(1, l) for l in range(2, n + 1)))]
 
 
-def f_factor(tree: Tree, s) -> float:
-    """Interpolation weight prod_m s_eta(m) ... s_{m-2} (empty products are 1)."""
+def f_factor(tree: Tree, s):
+    """Interpolation weight prod_m s_eta(m) ... s_{m-2} (empty products are 1) per row of s."""
     s = np.asarray(s, dtype=float)
-    if len(s) != tree.order - 1:
+    if s.shape[-1] != tree.order - 1:
         raise ValueError("need one s parameter per expansion step")
-    out = 1.0
-    for m in range(2, tree.order + 1):
-        lo, hi = tree.eta(m), m - 2  # inclusive, 1-based s indices
-        if lo <= hi:
-            out *= float(np.prod(s[lo - 1:hi]))
-    return out
+    return np.prod(s ** np.array(_s_exponents(tree)), axis=-1)
 
 
 def _s_exponents(tree: Tree) -> list[int]:
@@ -535,7 +532,7 @@ class ClusterInstance:
         return np.exp(-self.grid.delta_tau * v.sum(axis=1))
 
     def block_matrix(self, blocks, s) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated covariance over the union of blocks; returns (points, C)."""
+        """Interpolated covariance over the union of blocks, per row of a 2-d s: (points, C)."""
         pts = np.concatenate(blocks)
         labels = np.concatenate([np.full(len(b), i) for i, b in enumerate(blocks)])
         base = self.full_matrix[np.ix_(pts, pts)]
@@ -549,10 +546,12 @@ class ClusterInstance:
         The interpolated kernel is positive definite for s in [0, 1] (a convex
         mix of block restrictions of a positive definite kernel), and the
         Cholesky factor varies smoothly in s, so common z keep estimates
-        smooth in s.
+        smooth in s.  A 2-d s gives each row of z its own root.
         """
         pts, mat = self.block_matrix(blocks, s)
         chol = np.linalg.cholesky(mat)
+        if chol.ndim == 3:
+            return pts, np.matmul(chol, z[:, :, None])[:, :, 0]
         return pts, z @ chol.T
 
     # -- evaluators ---------------------------------------------------------
@@ -573,9 +572,8 @@ class ClusterInstance:
             terms = delta_apply(terms, pa, pb, gmat, self.xprime, self.monomials)
         return terms
 
-    def _block_q(self, phi_flat: np.ndarray, points: np.ndarray,
-                 max_r: int) -> _BlockTensor:
-        vals = phi_flat[:, points]
+    def _block_q(self, vals: np.ndarray, points: np.ndarray, max_r: int) -> _BlockTensor:
+        """Ladder values q_0..q_max_r at a block's points; ``vals`` is (batch, points)."""
         plain = derivative_ladder(0, max_r, self.gibbs_weight_coeff,
                                   self.ensemble.delta_m)
         q = evaluate_ladder(plain, vals)
@@ -596,39 +594,44 @@ class ClusterInstance:
                           phi_flat: np.ndarray) -> np.ndarray:
         """Per-sample value of the chained derivative operators (fast path)."""
         blocks = self.blocks_for(yseq)
-        lines = [(tree.eta(l) - 1, l - 1) for l in range(2, tree.order + 1)]
-        ends_of_block: dict[int, list] = {}
-        for li, (pa, pb) in enumerate(lines):
-            ends_of_block.setdefault(pa, []).append((li, 0))
-            ends_of_block.setdefault(pb, []).append((li, 1))
+        return self._contract([tree], blocks, [phi_flat[:, b] for b in blocks])[0]
 
-        letters = "abcdefgh"
-        end_letter: dict = {}
-        next_letter = 0
-        operands, subscripts = [], []
-        scalar = np.ones(phi_flat.shape[0])
-        for bi, block_pts in enumerate(blocks):
-            ends = ends_of_block.get(bi, [])
-            bt = self._block_q(phi_flat, block_pts, len(ends))
-            tensor = bt.tensor(len(ends))
-            if len(ends) == 0:
-                scalar = scalar * tensor
-                continue
-            sub = "n"
-            for end in ends:
-                end_letter[end] = letters[next_letter]
-                sub += letters[next_letter]
-                next_letter += 1
-            operands.append(tensor)
-            subscripts.append(sub)
-        for li, (pa, pb) in enumerate(lines):
-            g = self.full_matrix[np.ix_(blocks[pa], blocks[pb])]
-            operands.append(g)
-            subscripts.append(end_letter[(li, 0)] + end_letter[(li, 1)])
-        if not operands:
-            return scalar
-        spec = ",".join(subscripts) + "->n"
-        return scalar * np.einsum(spec, *operands, optimize=True)
+    def _contract(self, trees, blocks, vals) -> list[np.ndarray]:
+        """Per-sample chained-derivative values of each tree, on the blocks' points.
+
+        ``vals[b]`` holds the field at the points of ``blocks[b]``.  Each
+        block's ladders are evaluated once, to the most ends any of the trees
+        places there, and its derivative tensors are shared between trees.
+        """
+        lines = [[(tree.eta(l) - 1, l - 1) for l in range(2, tree.order + 1)]
+                 for tree in trees]
+        n_ends = [max(sum((pa, pb).count(bi) for pa, pb in tl) for tl in lines)
+                  for bi in range(len(blocks))]
+        q = [self._block_q(v, b, r) for v, b, r in zip(vals, blocks, n_ends)]
+        tensors: dict = {}  # (block, ends) -> derivative tensor
+        out = []
+        for tree_lines in lines:
+            # einsum letters: the ends of line li are 2 li and 2 li + 1
+            operands, subscripts = [], []
+            scalar = np.ones(q[0].batch)
+            for bi in range(len(blocks)):
+                sub = "".join(_LETTERS[2 * li + side] for li, line in enumerate(tree_lines)
+                              for side in (0, 1) if line[side] == bi)
+                if (bi, len(sub)) not in tensors:
+                    tensors[bi, len(sub)] = q[bi].tensor(len(sub))
+                if sub:
+                    operands.append(tensors[bi, len(sub)])
+                    subscripts.append("n" + sub)
+                else:
+                    scalar = scalar * tensors[bi, 0]
+            for li, (pa, pb) in enumerate(tree_lines):
+                operands.append(self.full_matrix[np.ix_(blocks[pa], blocks[pb])])
+                subscripts.append(_LETTERS[2 * li:2 * li + 2])
+            if operands:
+                spec = ",".join(subscripts) + "->n"
+                scalar = scalar * np.einsum(spec, *operands, optimize=True)
+            out.append(scalar)
+        return out
 
     # -- Monte Carlo layers ---------------------------------------------------
 
@@ -654,27 +657,40 @@ class ClusterInstance:
         full[:, pts] = phi
         return self.contraction_value(tree, yseq, full) * self.gibbs_weight(full, pts)
 
-    def cluster_term(self, tree: Tree, yseq, n_samples: int, seed: int,
-                     n_nodes: int = GL_NODES) -> tuple[float, float]:
-        """K for one (tree, rod sequence): quadrature of f(eta; s) I_n(s).
+    def cluster_term(self, yseq, n_samples: int, seed: int) -> tuple[float, float]:
+        """K of one rod sequence, summed over its trees: the integral of f(eta; s) I_n(s).
 
-        Every quadrature node sees the same normals, drawn as RQMC_BATCHES
-        independent scrambles of a Sobol sequence (``scrambled_normals``).
+        Randomized quasi-Monte Carlo over (s, z) jointly: each row is one
+        point of RQMC_BATCHES independently scrambled Sobol blocks
+        (``scrambled_normals``), whose leading n-1 coordinates, mapped back to
+        the unit interval, are the row's s and whose rest are its normals z.
+        Each row draws phi = L(s) z from the interpolated kernel on the
+        blocks' own points, and every tree is scored on that phi with its
+        weight f(eta; s); the Gibbs weight multiplies the tree sum once.  Rows
+        go in chunks whose kernels hold at most CHUNK_VALUES values.  Trees
+        share rows, so the error is that of the per-row tree sum.
         """
-        n = tree.order
+        n = len(yseq) + 1
         if n > ORDER_CAP[self.mode]:
             raise ValueError(f"order {n} beyond the supported cap for {self.mode.value}")
         if n == 1:
             return self.order_one(n_samples, seed)
-        nodes, weights = gauss_legendre_unit(n_nodes)
-        n_pts = len(self.x1_points) + sum(len(self.rod_points[r]) for r in yseq)
-        z = scrambled_normals(n_samples, n_pts, seed)
-        acc = np.zeros(n_samples)
-        for combo in itertools.product(range(n_nodes), repeat=n - 1):
-            s = np.array([nodes[i] for i in combo])
-            w = float(np.prod([weights[i] for i in combo]))
-            acc += w * f_factor(tree, s) * self.i_term(tree, yseq, s, z)
-        return _mean_and_error(acc, RQMC_BATCHES)
+        blocks = self.blocks_for(yseq)
+        trees = enumerate_trees(n)
+        edges = np.cumsum([0] + [len(b) for b in blocks])
+        u = scrambled_normals(n_samples, n - 1 + edges[-1], seed)
+        s, z = ndtr(u[:, :n - 1]), u[:, n - 1:]
+        rows = max(1, CHUNK_VALUES // edges[-1] ** 2)
+        values = np.empty(n_samples)
+        for start in range(0, n_samples, rows):
+            s_c = s[start:start + rows]
+            _, phi = self.sample_block(blocks, s_c, z[start:start + rows])
+            vals = [phi[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
+            trees_sum = sum(f_factor(tree, s_c) * k
+                            for tree, k in zip(trees, self._contract(trees, blocks, vals)))
+            values[start:start + rows] = trees_sum * self.gibbs_weight(
+                phi, np.arange(edges[-1]))
+        return _mean_and_error(values, RQMC_BATCHES)
 
     def ratio_f(self, yseq, n_samples: int, seed: int) -> tuple[float, float]:
         """Z(complement of X_n) / Z over common reference draws; >= 1 always."""
@@ -718,33 +734,24 @@ class ClusterInstance:
             accumulate(self.ensemble.sampler.sample, columns, n_samples, seed))
         return float(z), float(dz)
 
-    def order_contribution(self, n: int, n_samples: int, seed: int,
-                           n_nodes: int = GL_NODES,
-                           ratio_samples: int | None = None) -> tuple[float, float]:
+    def order_contribution(self, n: int, n_samples: int, seed: int) -> tuple[float, float]:
         """Sum over ordered rod sequences and trees of K * F at order n.
 
-        The K of each (sequence, tree) has its own draws, so their errors add
-        in quadrature.  All F come from one set of reference draws, so their
+        The trees of a sequence share its rows (``cluster_term``), and each
+        sequence has its own draws, so the sequences' K errors add in
+        quadrature.  All F come from one set of reference draws, so their
         error is the jackknife error of the K-weighted sum of F replicates.
         """
-        ratio_samples = ratio_samples or n_samples
         if n == 1:
             k, dk = self.order_one(n_samples, seed)
-            f, df = self.ratio_f((), ratio_samples, seed + 1)
+            f, df = self.ratio_f((), n_samples, seed + 1)
             return k * f, math.hypot(f * dk, k * df)
-        trees = enumerate_trees(n)
         yseqs = list(itertools.permutations(self.free_rod_ids, n - 1))
-        ratios, leave = self.ratio_table(yseqs, ratio_samples, seed + 100_003)
-        k_sums = np.zeros(len(yseqs))
-        k_var = 0.0
-        for si, yseq in enumerate(yseqs):
-            for ti, tree in enumerate(trees):
-                k, dk = self.cluster_term(tree, yseq, n_samples,
-                                          seed + 1013 * si + 7 * ti, n_nodes)
-                k_sums[si] += k
-                k_var += (ratios[si] * dk) ** 2
-        f_err = float(replicate_stderr(k_sums @ leave))
-        return float(k_sums @ ratios), math.sqrt(k_var + f_err ** 2)
+        ratios, leave = self.ratio_table(yseqs, n_samples, seed + 100_003)
+        k, dk = np.array([self.cluster_term(yseq, n_samples, seed + 1013 * si)
+                          for si, yseq in enumerate(yseqs)]).T
+        f_err = float(replicate_stderr(k @ leave))
+        return float(k @ ratios), math.hypot(float(np.linalg.norm(ratios * dk)), f_err)
 
     def first_step_residual(self, n_samples: int,
                             seed: int) -> tuple[float, float, float, float]:
@@ -835,8 +842,7 @@ class ExpansionReport:
 
 
 def residual_decay_report(instance: ClusterInstance, n_max: int,
-                          first_step_samples: int, order_samples, seed: int,
-                          n_nodes: int = GL_NODES) -> ExpansionReport:
+                          first_step_samples: int, order_samples, seed: int) -> ExpansionReport:
     """Telescoped residuals |direct - partial sum| with shared-draw cancellation.
 
     The order-1 residual R_1 is the coupled-minus-decoupled difference on
@@ -864,13 +870,11 @@ def residual_decay_report(instance: ClusterInstance, n_max: int,
     run, run_err = r1, dr1
     for n in range(2, n_max + 1):
         if n == 2 and n_max > 2:
-            r2, dr2 = instance.second_step_residual(order_samples[2],
-                                                    seed + 10_000 * n, n_nodes)
+            r2, dr2 = instance.second_step_residual(order_samples[2], seed + 10_000 * n)
             s_n, ds_n = run - r2, math.hypot(run_err, dr2)
             run, run_err = r2, dr2
         else:
-            s_n, ds_n = instance.order_contribution(n, order_samples[n],
-                                                    seed + 10_000 * n, n_nodes)
+            s_n, ds_n = instance.order_contribution(n, order_samples[n], seed + 10_000 * n)
             run, run_err = run - s_n, math.hypot(run_err, ds_n)
         orders.append((s_n, ds_n))
         residuals.append((abs(run), run_err))

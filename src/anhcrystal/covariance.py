@@ -248,14 +248,14 @@ def p_factor(block_i: int, block_j: int, s) -> float:
 
 
 def p_matrix(block_of: np.ndarray, s) -> np.ndarray:
-    """Matrix of p-factors for points labelled by their block index."""
+    """Matrix of p-factors for points labelled by their block index (per row of a 2-d s)."""
     s = np.asarray(s, dtype=float)
     n_blocks = int(block_of.max()) + 1
-    table = np.ones((n_blocks, n_blocks))
+    table = np.ones(s.shape[:-1] + (n_blocks, n_blocks))
     for l in range(n_blocks):
         for m in range(l + 1, n_blocks):
-            table[l, m] = table[m, l] = float(np.prod(s[l:m]))
-    return table[np.ix_(block_of, block_of)]
+            table[..., l, m] = table[..., m, l] = np.prod(s[..., l:m], axis=-1)
+    return table[..., block_of[:, None], block_of[None, :]]
 
 
 @dataclass(frozen=True)

@@ -197,9 +197,6 @@ class RodPartition:
     def rods_per_site(self) -> int:
         return len(self.rods) // self.lattice.n_sites
 
-    def rod_index(self, site: int, time_index: int) -> int:
-        return site * self.rods_per_site + time_index
-
 
 def rod_partition(lat: Lattice, beta_hat: float, mode: RodMode) -> RodPartition:
     """Tile the space-time box into rods.

@@ -38,7 +38,7 @@ from .lattice import Boundary, Lattice
 
 N_BATCHES = 50
 MAX_CHUNK = 16384
-CHAIN_CHUNK_VALUES = 1 << 18  # field values in one chunk of pCN proposals (2 MB)
+CHUNK_VALUES = 1 << 18  # values in one chunk of pCN proposals or cluster-term kernels (2 MB)
 ESS_WARN_THRESHOLD = 100.0
 
 
@@ -52,10 +52,6 @@ class EstimatorResult:
     n_samples: int
     seed: int
     ess: float
-
-    def compatible(self, other: "EstimatorResult", n_sigma: float = 4.0) -> bool:
-        gap = abs(self.mean - other.mean)
-        return gap <= n_sigma * math.hypot(self.stderr, other.stderr)
 
 
 # -- boundary conditions -------------------------------------------------------
@@ -400,7 +396,7 @@ def pcn_expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
     reference draw, leaves N(m, C) invariant, and the Metropolis correction
     acts on dt sum V(phi) alone: the action less its linear term.  The
     proposal offsets and the Metropolis uniforms do not depend on the chain's
-    state, so they are drawn in chunks of at most CHAIN_CHUNK_VALUES field
+    state, so they are drawn in chunks of at most CHUNK_VALUES field
     values, whatever the chain's length; the step loop only mixes, evaluates
     the action and accepts, and the observable is evaluated once per chunk on
     the chain's fields.  Error bars use the integrated autocorrelation time.
@@ -421,7 +417,7 @@ def pcn_expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
     phi = ensemble.draw(rng, 1)
     s = relative_action(phi)
     n_steps = burn_in + n_samples
-    per_chunk = max(1, CHAIN_CHUNK_VALUES // math.prod(ensemble.sampler.shape))
+    per_chunk = max(1, CHUNK_VALUES // math.prod(ensemble.sampler.shape))
     trace = np.empty(n_steps)
     for start in range(0, n_steps, per_chunk):
         k = min(per_chunk, n_steps - start)

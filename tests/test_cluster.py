@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from anhcrystal.cluster import (ClusterInstance, PolyExp, SymbolicTerm, Tree,
-                                battle_federbush_sum, delta_apply,
+from anhcrystal import cluster as cluster_module
+from anhcrystal.cluster import (RQMC_BATCHES, ClusterInstance, PolyExp, SymbolicTerm,
+                                Tree, battle_federbush_sum, delta_apply,
                                 derivative_ladder, enumerate_trees,
                                 evaluate_ladder, evaluate_symbolic, f_factor,
-                                gaussian_bump_mean, newton_leibniz_report,
-                                residual_decay_report, scrambled_normals)
+                                gauss_legendre_unit, gaussian_bump_mean,
+                                newton_leibniz_report, residual_decay_report,
+                                scrambled_normals)
 from anhcrystal.lattice import Lattice, RodMode
 from anhcrystal.potential import nth_derivative
 from anhcrystal.sampler import Ensemble, periodic_bc
@@ -24,6 +26,31 @@ def make_instance(dims=(2,), beta_hat=2.0, n_slices=8, b_m=0.3, delta_m=1.0,
                    b_m=b_m, delta_m=delta_m, d=1, bc=periodic_bc())
     pt = ens.grid.point(site, ens.grid.slice_of(tau))
     return ClusterInstance(ensemble=ens, mode=mode, monomials={pt: power})
+
+
+def branch_index(tree: Tree, k: int) -> int:
+    """1 + number of earlier vertices sharing vertex k's parent."""
+    return 1 + sum(1 for l in range(2, k) if tree.eta(l) == tree.eta(k))
+
+
+def quadrature_term(inst, yseq, n_samples, seed):
+    """K of one rod sequence on the 8^(n-1) Gauss-Legendre grid over s.
+
+    Every node sees the same scrambled normals; returns the mean and the
+    standard error of the RQMC_BATCHES block means.
+    """
+    n = len(yseq) + 1
+    nodes, weights = gauss_legendre_unit(8)
+    n_pts = sum(len(b) for b in inst.blocks_for(yseq))
+    z = scrambled_normals(n_samples, n_pts, seed)
+    acc = np.zeros(n_samples)
+    for combo in itertools.product(range(8), repeat=n - 1):
+        s = nodes[list(combo)]
+        w = float(np.prod(weights[list(combo)]))
+        for tree in enumerate_trees(n):
+            acc += w * f_factor(tree, s) * inst.i_term(tree, yseq, s, z)
+    means = acc.reshape(RQMC_BATCHES, -1).mean(axis=1)
+    return float(means.mean()), float(means.std(ddof=1) / math.sqrt(RQMC_BATCHES))
 
 
 class TestTrees:
@@ -48,9 +75,9 @@ class TestTrees:
 
     def test_branch_indices_count_siblings(self):
         tree = Tree(parent=(1, 1, 2))
-        assert tree.branch_index(2) == 1
-        assert tree.branch_index(3) == 2
-        assert tree.branch_index(4) == 1
+        assert branch_index(tree, 2) == 1
+        assert branch_index(tree, 3) == 2
+        assert branch_index(tree, 4) == 1
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
@@ -74,6 +101,11 @@ class TestFFactor:
     def test_all_ones(self):
         for tree in enumerate_trees(5):
             assert f_factor(tree, (1.0,) * 4) == 1.0
+
+    def test_rows_of_s(self):
+        s = np.random.default_rng(0).uniform(size=(5, 3))
+        for tree in enumerate_trees(4):
+            assert np.array_equal(f_factor(tree, s), [f_factor(tree, row) for row in s])
 
     def test_length_check(self):
         with pytest.raises(ValueError):
@@ -246,15 +278,41 @@ class TestClusterTerms:
 
     def test_higher_orders_vanish_exactly_when_free(self):
         inst = make_instance(b_m=0.0)
-        tree = Tree(parent=(1,))
-        val, err = inst.cluster_term(tree, (inst.free_rod_ids[0],), 2000, seed=1)
-        assert val == 0.0 and err == 0.0
+        for yseq in ((inst.free_rod_ids[0],), inst.free_rod_ids[:2]):
+            val, err = inst.cluster_term(yseq, 2000, seed=1)
+            assert val == 0.0 and err == 0.0
 
     def test_order_cap_enforced(self):
         inst = make_instance()
-        with pytest.raises(ValueError):
-            inst.cluster_term(Tree(parent=(1, 1, 1)), inst.free_rod_ids[:3],
-                              100, seed=0)
+        with pytest.raises(ValueError, match="cap"):
+            inst.cluster_term(inst.free_rod_ids[:3], 100, seed=0)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_joint_s_agrees_with_quadrature(self, order):
+        # RQMC over (s, z) jointly against the tensor Gauss-Legendre grid
+        # over s with common normals, each on its own scrambles
+        inst = make_instance(b_m=0.3)
+        yseq = inst.free_rod_ids[:order - 1]
+        k, dk = inst.cluster_term(yseq, 20_000, seed=21)
+        ref, dref = quadrature_term(inst, yseq, 10_000, seed=22)
+        assert abs(k - ref) <= 4.0 * math.hypot(dk, dref), (k, dk, ref, dref)
+        # the comparison resolves the term: both error bars are small
+        assert math.hypot(dk, dref) <= 0.2 * abs(ref), (k, dk, ref, dref)
+
+    def test_rows_run_in_bounded_chunks(self, monkeypatch):
+        # 12 points per row: a budget of 7000 values gives chunks of 48 rows
+        inst = make_instance(b_m=0.3)
+        yseq = inst.free_rod_ids[:2]
+        whole = inst.cluster_term(yseq, 2000, seed=5)
+        monkeypatch.setattr(cluster_module, "CHUNK_VALUES", 7000)
+        rows = []
+        sample_block = inst.sample_block
+        monkeypatch.setattr(inst, "sample_block",
+                            lambda b, s, z: rows.append(len(z)) or sample_block(b, s, z))
+        chunked = inst.cluster_term(yseq, 2000, seed=5)
+        assert max(rows) * 12 ** 2 <= 7000 and sum(rows) == 2000, rows
+        assert len(rows) == 42
+        assert chunked == pytest.approx(whole, rel=1e-12, abs=0.0)
 
     def test_ratio_f_free_case(self):
         inst = make_instance(b_m=0.0)
