@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -230,8 +231,12 @@ def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
             }
             payload["ok"] = payload["sigma_gap"] < 4.0
         else:
-            rep = residual_decay_report(inst, cfg.get("n_max", cfg["order"]),
-                                        cfg["samples"], cfg["samples"], cfg["seed"])
+            start = time.perf_counter()
+            rep = residual_decay_report(
+                inst, cfg.get("n_max", cfg["order"]), cfg["samples"], cfg["samples"],
+                cfg["seed"], lambda n, k: print(f"cluster residuals: order {n} done, {k} rod "
+                                                f"sequences, {time.perf_counter() - start:.1f} s "
+                                                "elapsed", file=sys.stderr, flush=True))
             # every drop must be resolved by 3 combined standard errors
             payload = {
                 "direct": rep.direct,
@@ -309,12 +314,13 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     from .verify import run_verification
 
     results = run_verification(cfg)
-    width = max(len(name) for name, _, _ in results)
-    for name, ok, detail in results:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
+    width = max(len(name) for name, *_ in results)
+    for name, ok, detail, seconds in results:
+        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {seconds:6.2f} s  {detail}")
+    # wall times vary from run to run, so verify.json leaves them out
     payload = {"checks": [{"name": n, "ok": ok, "detail": d}
-                          for n, ok, d in results],
-               "ok": all(ok for _, ok, _ in results)}
+                          for n, ok, d, _ in results],
+               "ok": all(ok for _, ok, *_ in results)}
     _emit(out_dir, "verify.json", payload)
     return 0 if payload["ok"] else 1
 

@@ -31,6 +31,7 @@ each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -191,7 +192,7 @@ class PolyExp:
 
 
 class _PowerCache:
-    """Shared powers of y and of the Gaussian factor across a ladder."""
+    """Shared powers of y and of the Gaussian factor exp(-delta_m y^2 / 2)."""
 
     def __init__(self, y: np.ndarray, delta_m: float):
         self.ypow = {1: y}
@@ -206,7 +207,8 @@ class _PowerCache:
 
     def gaussian(self, k: int) -> np.ndarray:
         if 1 not in self.epow:
-            self.epow[1] = np.exp(-0.5 * self.delta_m * self.y * self.y)
+            # the expression of ClusterInstance.gibbs_weight, so the two agree bit for bit
+            self.epow[1] = np.exp(-0.5 * self.delta_m * self.power(2))
         if k not in self.epow:
             self.epow[k] = self.epow[k - 1] * self.epow[1]
         return self.epow[k]
@@ -223,19 +225,21 @@ def _eval_terms(terms: dict, delta_m: float, y: np.ndarray,
     return out
 
 
-def derivative_ladder(power: int, n_max: int, weight: float, delta_m: float) -> list[PolyExp]:
-    """q_r = (d^r/dy^r [y^power e^X]) / e^X for r = 0..n_max."""
+@functools.lru_cache(maxsize=256)
+def derivative_ladder(power: int, n_max: int, weight: float, delta_m: float) -> tuple[PolyExp, ...]:
+    """q_r = (d^r/dy^r [y^power e^X]) / e^X for r = 0..n_max (cached; do not mutate)."""
     xprime = PolyExp.gibbs_prime(weight, delta_m)
     ladder = [PolyExp.monomial(power, delta_m)]
     for _ in range(n_max):
         q = ladder[-1]
         ladder.append(q.deriv().add(q.mul(xprime)))
-    return ladder
+    return tuple(ladder)
 
 
-def evaluate_ladder(ladder: list[PolyExp], y: np.ndarray) -> list[np.ndarray]:
-    """Evaluate every ladder member at y with shared power/Gaussian caches."""
-    cache = _PowerCache(y, ladder[0].delta_m)
+def evaluate_ladder(ladder, y: np.ndarray,
+                    cache: _PowerCache | None = None) -> list[np.ndarray]:
+    """Evaluate every ladder member at y with shared power/Gaussian caches (y's ``cache``)."""
+    cache = cache or _PowerCache(y, ladder[0].delta_m)
     return [_eval_terms(pe.terms, pe.delta_m, y, cache) for pe in ladder]
 
 
@@ -287,12 +291,20 @@ def evaluate_symbolic(terms: list[SymbolicTerm], phi_flat: np.ndarray,
 
     The global Gibbs weight exp(-V) is *not* included; callers multiply it
     once.  Untouched observable points contribute their plain monomials.
+    Each point keeps one power cache, and each distinct factor at a point is
+    evaluated once: terms share most of their factors.
     """
+    caches: dict = {}   # point -> _PowerCache of the field there
+    values: dict = {}   # (point, factor terms) -> factor values
     total = np.zeros(phi_flat.shape[0])
     for term in terms:
         val = np.full(phi_flat.shape[0], term.coeff)
         for t, q in term.factors.items():
-            val *= q(phi_flat[:, t])
+            key = (t, tuple(q.terms.items()))
+            if key not in values:
+                cache = caches.setdefault(t, _PowerCache(phi_flat[:, t], q.delta_m))
+                values[key] = _eval_terms(q.terms, q.delta_m, cache.y, cache)
+            val *= values[key]
         for t, power in monomials.items():
             if t not in term.factors:
                 val *= phi_flat[:, t] ** power
@@ -414,6 +426,17 @@ def gauss_legendre_unit(n_nodes: int = GL_NODES):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+SOBOL_BITS = 30    # qmc.Sobol's default resolution
+_BIT = np.arange(SOBOL_BITS, dtype=np.uint32)
+
+
+@functools.lru_cache(maxsize=64)
+def _sobol_directions(dim: int, m: int) -> np.ndarray:
+    """Sobol direction numbers 0..m-1, (m, dim): unscrambled point 2^(j+1) - 1 is direction j."""
+    points = qmc.Sobol(dim, scramble=False).random_base2(m)
+    return (points[2 ** np.arange(1, m + 1) - 1] * 2 ** SOBOL_BITS).astype(np.uint32)
+
+
 def scrambled_normals(n_samples: int, dim: int, seed: int,
                       n_batches: int = RQMC_BATCHES) -> np.ndarray:
     """Standard normals from independently scrambled Sobol blocks (Owen 1997).
@@ -423,18 +446,34 @@ def scrambled_normals(n_samples: int, dim: int, seed: int,
     their spread is an honest error bar.  The expansion integrands are smooth
     functions of a dozen or so normals, where this randomized quasi-Monte
     Carlo beats plain draws severalfold in variance.
+
+    Block b equals the leading points of ``qmc.Sobol(dim, scramble=True,
+    rng=default_rng(child_b))``, child_b the b-th spawn of SeedSequence(seed),
+    bit for bit.  The engine's linear matrix scramble and digital shift
+    (Matousek 1998), drawn as the engine draws them, are applied in numpy:
+    a scramble is GF(2)-linear, so all blocks are scrambled at once.
     """
     per = n_samples // n_batches
     if per * n_batches != n_samples:
         raise ValueError(f"sample count must be a multiple of {n_batches}")
-    blocks = []
-    for child in np.random.SeedSequence(seed).spawn(n_batches):
-        engine = qmc.Sobol(dim, scramble=True, rng=np.random.default_rng(child))
-        # the leading `per` points of a power-of-two draw: the same points as
-        # engine.random(per), without scipy's balance warning
-        u = engine.random_base2(math.ceil(math.log2(per)))[:per]
-        blocks.append(ndtri(0.5 + (1.0 - 1e-10) * (u - 0.5)))
-    return np.concatenate(blocks)
+    m = math.ceil(math.log2(per))
+    # cols[b, d, k]: column k of block b's scramble matrix as an integer
+    # (scipy's bit order reverses both axes of ltm); table row 0: the shift
+    table = np.empty((n_batches, per, dim), dtype=np.uint32)
+    cols = np.empty((n_batches, dim, SOBOL_BITS), dtype=np.uint32)
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_batches)):
+        rng = np.random.default_rng(child.spawn(1)[0])
+        shift = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32)
+        table[b, 0] = (shift << _BIT).sum(axis=1, dtype=np.uint32)
+        ltm = np.tril(rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+        ltm[:, _BIT, _BIT] = 1
+        cols[b] = (ltm[:, ::-1, ::-1] << _BIT[:, None]).sum(axis=1, dtype=np.uint32)
+    bits = (_sobol_directions(dim, m).T[:, :, None] >> _BIT) & 1        # (dim, m, k)
+    scrambled = np.bitwise_xor.reduce(cols[:, :, None, :] * bits, axis=-1)  # (b, dim, m)
+    i = np.arange(1, per)  # Gray-code row i: direction trailing_zeros(i)
+    table[:, 1:] = scrambled.transpose(0, 2, 1)[:, np.log2(i & -i).astype(np.intp)]
+    u = np.bitwise_xor.accumulate(table, axis=1).reshape(n_samples, dim) * 2.0 ** -SOBOL_BITS
+    return ndtri(0.5 + (1.0 - 1e-10) * (u - 0.5))
 
 
 def gaussian_bump_mean(mean, var, delta_m: float):
@@ -527,9 +566,11 @@ class ClusterInstance:
 
     def gibbs_weight(self, phi_flat: np.ndarray, points: np.ndarray) -> np.ndarray:
         """exp(-dt * sum over points of V(phi))."""
-        v = self.ensemble.b_m * np.exp(
-            -0.5 * self.ensemble.delta_m * phi_flat[:, points] ** 2)
-        return np.exp(-self.grid.delta_tau * v.sum(axis=1))
+        return self._bump_weight(np.exp(-0.5 * self.ensemble.delta_m * phi_flat[:, points] ** 2))
+
+    def _bump_weight(self, bump: np.ndarray) -> np.ndarray:
+        """The Gibbs weight from the per-point factors exp(-delta_m phi^2 / 2)."""
+        return np.exp(-self.grid.delta_tau * (self.ensemble.b_m * bump).sum(axis=1))
 
     def block_matrix(self, blocks, s) -> tuple[np.ndarray, np.ndarray]:
         """Interpolated covariance over the union of blocks, per row of a 2-d s: (points, C)."""
@@ -572,11 +613,11 @@ class ClusterInstance:
             terms = delta_apply(terms, pa, pb, gmat, self.xprime, self.monomials)
         return terms
 
-    def _block_q(self, vals: np.ndarray, points: np.ndarray, max_r: int) -> _BlockTensor:
-        """Ladder values q_0..q_max_r at a block's points; ``vals`` is (batch, points)."""
+    def _block_q(self, cache: _PowerCache, points: np.ndarray, max_r: int) -> _BlockTensor:
+        """Ladder values q_0..q_max_r at a block's points, from its field's power cache."""
         plain = derivative_ladder(0, max_r, self.gibbs_weight_coeff,
                                   self.ensemble.delta_m)
-        q = evaluate_ladder(plain, vals)
+        q = evaluate_ladder(plain, cache.y, cache)
         mono_pos = []
         for i, t in enumerate(points):
             power = self.monomials.get(int(t))
@@ -585,7 +626,9 @@ class ClusterInstance:
             mono_pos.append(i)
             ladder = derivative_ladder(power, max_r, self.gibbs_weight_coeff,
                                        self.ensemble.delta_m)
-            cols = evaluate_ladder(ladder, vals[:, i])
+            col = _PowerCache(cache.y[:, i], self.ensemble.delta_m)
+            col.epow[1] = cache.gaussian(1)[:, i]   # one exp per point
+            cols = evaluate_ladder(ladder, col.y, col)
             for r in range(max_r + 1):
                 q[r][:, i] = cols[r]
         return _BlockTensor(q, mono_pos)
@@ -594,20 +637,25 @@ class ClusterInstance:
                           phi_flat: np.ndarray) -> np.ndarray:
         """Per-sample value of the chained derivative operators (fast path)."""
         blocks = self.blocks_for(yseq)
-        return self._contract([tree], blocks, [phi_flat[:, b] for b in blocks])[0]
+        return self._contract([tree], blocks, phi_flat[:, np.concatenate(blocks)])[0][0]
 
-    def _contract(self, trees, blocks, vals) -> list[np.ndarray]:
-        """Per-sample chained-derivative values of each tree, on the blocks' points.
+    def _contract(self, trees, blocks, phi: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Per-sample chained-derivative values of each tree, and the blocks' Gibbs weight.
 
-        ``vals[b]`` holds the field at the points of ``blocks[b]``.  Each
-        block's ladders are evaluated once, to the most ends any of the trees
-        places there, and its derivative tensors are shared between trees.
+        The leading columns of ``phi`` hold the field at the points of the
+        blocks, in order.  Each block's ladders are evaluated once, to the
+        most ends any of the trees places there, and its derivative tensors
+        are shared between trees.  The weight reuses the ladders' Gaussian
+        factors and equals ``gibbs_weight`` on those points bit for bit.
         """
+        edges = np.cumsum([0] + [len(b) for b in blocks])
+        caches = [_PowerCache(phi[:, lo:hi], self.ensemble.delta_m)
+                  for lo, hi in zip(edges, edges[1:])]
         lines = [[(tree.eta(l) - 1, l - 1) for l in range(2, tree.order + 1)]
                  for tree in trees]
         n_ends = [max(sum((pa, pb).count(bi) for pa, pb in tl) for tl in lines)
                   for bi in range(len(blocks))]
-        q = [self._block_q(v, b, r) for v, b, r in zip(vals, blocks, n_ends)]
+        q = [self._block_q(c, b, r) for c, b, r in zip(caches, blocks, n_ends)]
         tensors: dict = {}  # (block, ends) -> derivative tensor
         out = []
         for tree_lines in lines:
@@ -631,7 +679,7 @@ class ClusterInstance:
                 spec = ",".join(subscripts) + "->n"
                 scalar = scalar * np.einsum(spec, *operands, optimize=True)
             out.append(scalar)
-        return out
+        return out, self._bump_weight(np.concatenate([c.gaussian(1) for c in caches], axis=1))
 
     # -- Monte Carlo layers ---------------------------------------------------
 
@@ -652,10 +700,9 @@ class ClusterInstance:
     def i_term(self, tree: Tree, yseq, s, z: np.ndarray) -> np.ndarray:
         """Per-sample integrand of I_n at interpolation point s (common draws z)."""
         blocks = self.blocks_for(yseq)
-        pts, phi = self.sample_block(blocks, s, z)
-        full = np.zeros((phi.shape[0], self.grid.n_points))
-        full[:, pts] = phi
-        return self.contraction_value(tree, yseq, full) * self.gibbs_weight(full, pts)
+        _, phi = self.sample_block(blocks, s, z)
+        (k,), weight = self._contract([tree], blocks, phi)
+        return k * weight
 
     def cluster_term(self, yseq, n_samples: int, seed: int) -> tuple[float, float]:
         """K of one rod sequence, summed over its trees: the integral of f(eta; s) I_n(s).
@@ -677,19 +724,17 @@ class ClusterInstance:
             return self.order_one(n_samples, seed)
         blocks = self.blocks_for(yseq)
         trees = enumerate_trees(n)
-        edges = np.cumsum([0] + [len(b) for b in blocks])
-        u = scrambled_normals(n_samples, n - 1 + edges[-1], seed)
+        n_pts = sum(len(b) for b in blocks)
+        u = scrambled_normals(n_samples, n - 1 + n_pts, seed)
         s, z = ndtr(u[:, :n - 1]), u[:, n - 1:]
-        rows = max(1, CHUNK_VALUES // edges[-1] ** 2)
+        rows = max(1, CHUNK_VALUES // n_pts ** 2)
         values = np.empty(n_samples)
         for start in range(0, n_samples, rows):
             s_c = s[start:start + rows]
             _, phi = self.sample_block(blocks, s_c, z[start:start + rows])
-            vals = [phi[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
-            trees_sum = sum(f_factor(tree, s_c) * k
-                            for tree, k in zip(trees, self._contract(trees, blocks, vals)))
-            values[start:start + rows] = trees_sum * self.gibbs_weight(
-                phi, np.arange(edges[-1]))
+            ks, weight = self._contract(trees, blocks, phi)
+            values[start:start + rows] = weight * sum(f_factor(tree, s_c) * k
+                                                      for tree, k in zip(trees, ks))
         return _mean_and_error(values, RQMC_BATCHES)
 
     def ratio_f(self, yseq, n_samples: int, seed: int) -> tuple[float, float]:
@@ -808,16 +853,13 @@ class ClusterInstance:
             rest_cut = z[:, n2:] @ np.linalg.cholesky(cut[n2:, n2:]).T
             end_cut = self._rest_weight(rest_cut, 0.0, np.diag(cut)[n2:])
             for x, w in zip(nodes, weights):
-                pts, mat = self.block_matrix(blocks, (x, 1.0))
+                _, mat = self.block_matrix(blocks, (x, 1.0))
                 chol = np.linalg.cholesky(mat)
                 phi = z @ chol.T
-                full = np.zeros((n_samples, self.grid.n_points))
-                full[:, pts[:n2]] = phi[:, :n2]
-                core = (self.contraction_value(tree, (y,), full) *
-                        self.gibbs_weight(full, pts[:n2]))
+                (k,), weight = self._contract([tree], blocks[:2], phi)
                 end = self._rest_weight(phi[:, n2:], z[:, :n2] @ chol[n2:, :n2].T,
                                         np.sum(chol[n2:, n2:] ** 2, axis=1))
-                acc += w * core * (end - end_cut)
+                acc += w * (k * weight) * (end - end_cut)
         diff, ddiff = _mean_and_error(acc, RQMC_BATCHES)
         return diff / z_t, math.hypot(ddiff / z_t, diff * dz_t / z_t ** 2)
 
@@ -842,7 +884,8 @@ class ExpansionReport:
 
 
 def residual_decay_report(instance: ClusterInstance, n_max: int,
-                          first_step_samples: int, order_samples, seed: int) -> ExpansionReport:
+                          first_step_samples: int, order_samples, seed: int,
+                          progress=None) -> ExpansionReport:
     """Telescoped residuals |direct - partial sum| with shared-draw cancellation.
 
     The order-1 residual R_1 is the coupled-minus-decoupled difference on
@@ -854,7 +897,8 @@ def residual_decay_report(instance: ClusterInstance, n_max: int,
     subtracts a measured contribution, R_{n-1} - s_n with s_n from
     ``order_contribution`` (``order_samples[n]`` draws), so the final
     comparison is between two independent estimators.  ``order_samples`` is
-    an int or a per-order {n: samples} mapping.
+    an int or a per-order {n: samples} mapping.  ``progress(n, sequences)``,
+    if given, is called when order n, with that many rod sequences, is done.
     """
     cap = ORDER_CAP[instance.mode]
     if n_max > cap:
@@ -863,7 +907,9 @@ def residual_decay_report(instance: ClusterInstance, n_max: int,
         raise ValueError("not enough rods outside X_1 for the requested order")
     if isinstance(order_samples, int):
         order_samples = {n: order_samples for n in range(2, n_max + 1)}
+    done = progress or (lambda n, sequences: None)
     r1, dr1, direct, ddirect = instance.first_step_residual(first_step_samples, seed)
+    done(1, 1)
     orders = [(direct - r1, math.hypot(dr1, ddirect))]
     residuals = [(abs(r1), dr1)]
     partial = [(direct - r1, math.hypot(ddirect, dr1))]
@@ -879,6 +925,7 @@ def residual_decay_report(instance: ClusterInstance, n_max: int,
         orders.append((s_n, ds_n))
         residuals.append((abs(run), run_err))
         partial.append((direct - run, math.hypot(ddirect, run_err)))
+        done(n, math.perm(len(instance.free_rod_ids), n - 1))
     return ExpansionReport(orders=orders, partial_sums=partial,
                            direct=(direct, ddirect), residuals=residuals)
 

@@ -133,13 +133,6 @@ class CovarianceKernel:
         return float(np.sum(w * temporal_factor_matsubara(
             self.eps_grid, tau, self.beta_hat, n_max)))
 
-    def spatial_profile(self, tau) -> np.ndarray:
-        """G(0, j; tau) for every site displacement j at once (periodic, via FFT)."""
-        if self.boundary is not Boundary.PERIODIC:
-            raise ValueError("spatial displacement profiles need a periodic box")
-        t = temporal_factor(self.eps_grid, tau, self.beta_hat)
-        return np.fft.ifftn(t).real
-
     def time_integral_profile(self) -> np.ndarray:
         """I(j) = integral over one time period of G(0, j; tau), all j.
 
@@ -237,14 +230,6 @@ class CovarianceKernel:
 
 
 # -- interpolated kernels ----------------------------------------------------
-
-
-def p_factor(block_i: int, block_j: int, s) -> float:
-    """Coupling weight between blocks: 1 inside a block, prod of s between."""
-    if block_i == block_j:
-        return 1.0
-    lo, hi = sorted((block_i, block_j))
-    return float(np.prod(np.asarray(s, dtype=float)[lo:hi]))
 
 
 def p_matrix(block_of: np.ndarray, s) -> np.ndarray:

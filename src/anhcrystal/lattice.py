@@ -86,28 +86,6 @@ class Lattice:
     def site_coords(self, index: int) -> tuple[int, ...]:
         return tuple(int(c) for c in np.unravel_index(index, self.dims))
 
-    def neighbor_pairs(self):
-        """Unordered nearest-neighbour bonds inside the box, each once.
-
-        Periodic boxes include wraparound bonds; a direction of length 2
-        therefore carries a doubled bond and length 1 carries none.
-        """
-        pairs = []
-        for site in self.sites():
-            i = self.site_index(site)
-            for mu in range(self.nu):
-                n_mu = self.dims[mu]
-                if n_mu == 1:
-                    continue
-                nb = list(site)
-                nb[mu] = site[mu] + 1
-                if nb[mu] < n_mu:
-                    pairs.append(tuple(sorted((i, self.site_index(nb)))))
-                elif self.boundary is Boundary.PERIODIC:
-                    nb[mu] = 0
-                    pairs.append(tuple(sorted((i, self.site_index(nb)))))
-        return pairs
-
     def boundary_pairs(self):
         """Pairs (inside site index, outside site coords) across the box edge.
 
@@ -165,17 +143,6 @@ def dispersion_grid(lat: Lattice, a: float, J: float) -> np.ndarray:
             indexing="ij",
         )
     return a + 4.0 * J * sum(grids)
-
-
-def torus_distance(lat: Lattice, i, j) -> int:
-    """Graph distance between two sites (wraparound on periodic boxes)."""
-    ci = np.asarray(lat.site_coords(i) if np.isscalar(i) else i, dtype=int)
-    cj = np.asarray(lat.site_coords(j) if np.isscalar(j) else j, dtype=int)
-    delta = np.abs(ci - cj)
-    if lat.boundary is Boundary.PERIODIC:
-        wrapped = np.minimum(delta, np.asarray(lat.dims) - delta)
-        return int(wrapped.sum())
-    return int(delta.sum())
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """One-shot verification suite: fast invariant checks with pass/fail rows.
 
 These are reduced-budget versions of the package's acceptance tests, sized to
-finish in well under a minute together.  Each check returns (name, ok,
-detail); the CLI prints one row per check and exits nonzero on any failure.
+finish in well under a minute together.  Each check returns (ok, detail);
+``run_verification`` adds its name and wall time, and the CLI prints one row
+per check and exits nonzero on any failure.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 
 import numpy as np
 
@@ -208,7 +210,8 @@ def check_interpolation(rng) -> tuple[bool, str]:
     return ok, f"min eig ratio {worst_psd:.1e}, reconstruction {worst_rec:.1e}"
 
 
-def run_verification(cfg: dict) -> list[tuple[str, bool, str]]:
+def run_verification(cfg: dict) -> list[tuple[str, bool, str, float]]:
+    """(name, ok, detail, wall seconds) of every check."""
     rng = np.random.default_rng(cfg.get("seed", 1))
     checks = [
         ("threshold-algebra", lambda: check_threshold_algebra(rng)),
@@ -226,9 +229,10 @@ def run_verification(cfg: dict) -> list[tuple[str, bool, str]]:
     ]
     results = []
     for name, fn in checks:
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, bool(ok), detail))
+        results.append((name, bool(ok), detail, time.perf_counter() - start))
     return results

@@ -172,19 +172,42 @@ class TestClusterCommand:
         assert payload["ok"]
         assert payload["orders"]["3"]["sum"] == "2"
 
-    def test_residuals_check_is_error_aware(self, tmp_path):
+    def test_residuals_check_is_error_aware(self, tmp_path, capsys):
         cfg = write_config(tmp_path, d=1, dims=(2,), n_max=2)
         out = tmp_path / "out"
         rc = main(["--config", str(cfg), "--out", str(out), "cluster",
                    "--check", "residuals", "--samples", "10000"])
         payload = json.loads((out / "cluster_residuals.json").read_text())
         assert rc == 0 and payload["ok"]
+        # one progress line per order on stderr: the empty sequence, then 3 rods
+        progress = capsys.readouterr().err.strip().splitlines()
+        assert [line.split(",")[:2] for line in progress] == [
+            ["cluster residuals: order 1 done", " 1 rod sequences"],
+            ["cluster residuals: order 2 done", " 3 rod sequences"]]
         residuals = payload["residuals"]
         assert len(residuals) == 2
         for value, stderr in residuals:
             assert math.isfinite(value) and stderr > 0
         (hi, dhi), (lo, dlo) = residuals
         assert hi - lo >= 3.0 * math.hypot(dhi, dlo)
+
+
+class TestVerifyCommand:
+    def test_timings_on_stdout_and_byte_identical_results(self, tmp_path, capsys):
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["--out", str(out1), "verify"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[:-1]
+        assert main(["--out", str(out2), "verify"]) == 0
+        b1 = (out1 / "verify.json").read_bytes()
+        assert b1 == (out2 / "verify.json").read_bytes()
+        checks = json.loads(b1)["checks"]
+        # one stdout row per check with its wall time, which the file leaves out
+        assert len(rows) == len(checks)
+        for row, check in zip(rows, checks):
+            name, verdict, seconds, unit = row.split()[:4]
+            assert name == check["name"] and verdict == "PASS"
+            assert float(seconds) >= 0.0 and unit == "s"
+            assert set(check) == {"name", "ok", "detail"}
 
 
 class TestOracleCommand:

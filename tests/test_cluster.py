@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from anhcrystal import cluster as cluster_module
 from anhcrystal.cluster import (RQMC_BATCHES, ClusterInstance, PolyExp, SymbolicTerm,
@@ -31,6 +33,33 @@ def make_instance(dims=(2,), beta_hat=2.0, n_slices=8, b_m=0.3, delta_m=1.0,
 def branch_index(tree: Tree, k: int) -> int:
     """1 + number of earlier vertices sharing vertex k's parent."""
     return 1 + sum(1 for l in range(2, k) if tree.eta(l) == tree.eta(k))
+
+
+def engine_scrambled_normals(n_samples, dim, seed, n_batches=RQMC_BATCHES):
+    """Reference for ``scrambled_normals``: one scipy scrambled Sobol engine per block."""
+    per = n_samples // n_batches
+    blocks = []
+    for child in np.random.SeedSequence(seed).spawn(n_batches):
+        engine = qmc.Sobol(dim, scramble=True, rng=np.random.default_rng(child))
+        # the leading `per` points of a power-of-two draw: the same points as
+        # engine.random(per), without scipy's balance warning
+        u = engine.random_base2(math.ceil(math.log2(per)))[:per]
+        blocks.append(ndtri(0.5 + (1.0 - 1e-10) * (u - 0.5)))
+    return np.concatenate(blocks)
+
+
+def term_by_term(terms, phi_flat, monomials):
+    """Reference for ``evaluate_symbolic``: every factor of every term evaluated afresh."""
+    total = np.zeros(phi_flat.shape[0])
+    for term in terms:
+        val = np.full(phi_flat.shape[0], term.coeff)
+        for t, q in term.factors.items():
+            val *= q(phi_flat[:, t])
+        for t, power in monomials.items():
+            if t not in term.factors:
+                val *= phi_flat[:, t] ** power
+        total += val
+    return total
 
 
 def quadrature_term(inst, yseq, n_samples, seed):
@@ -267,6 +296,24 @@ class TestEvaluatorAgreement:
                 assert float(np.max(np.abs(sym - fast))) / scale < 1e-12
 
 
+class TestSymbolicMemo:
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_memo_matches_term_by_term(self, order):
+        # two monomial points, so untouched observable points occur too
+        lat = Lattice(1, (2,))
+        ens = Ensemble(lattice=lat, a=1.0, J=0.25, beta_hat=2.0, n_slices=8,
+                       b_m=0.4, delta_m=1.5, d=1, bc=periodic_bc())
+        monos = {ens.grid.point(0, 0): 1, ens.grid.point(0, 2): 2}
+        inst = ClusterInstance(ensemble=ens, mode=RodMode.LOW_TEMPERATURE,
+                               monomials=monos)
+        phi = np.random.default_rng(9).standard_normal((12, ens.grid.n_points))
+        for yseq in itertools.permutations(inst.free_rod_ids, order - 1):
+            for tree in enumerate_trees(order):
+                terms = inst.symbolic_integrand(tree, yseq)
+                assert np.array_equal(evaluate_symbolic(terms, phi, monos),
+                                      term_by_term(terms, phi, monos))
+
+
 class TestClusterTerms:
     def test_order_one_free_case(self):
         inst = make_instance(b_m=0.0)
@@ -338,6 +385,13 @@ class TestSharedDraws:
         # each block is its own scramble, not a repeat of the first
         blocks = z.reshape(20, 200, 6)
         assert not np.allclose(blocks[0], blocks[1])
+
+    @pytest.mark.parametrize("dim", [1, 3, 14, 16, 33])
+    def test_scrambled_normals_equal_scipy_engines(self, dim):
+        for per in (1, 3, 100, 1250):
+            for seed in (0, 17, 20_017):
+                assert np.array_equal(scrambled_normals(20 * per, dim, seed),
+                                      engine_scrambled_normals(20 * per, dim, seed)), (per, seed)
 
     def test_scrambled_normals_need_whole_blocks(self):
         with pytest.raises(ValueError, match="multiple of 20"):
