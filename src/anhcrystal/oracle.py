@@ -4,9 +4,12 @@ The rescaled one-site Hamiltonian (d = 1) is discretized on a real-space grid
 with a fourth-order Laplacian stencil.  Two sites use the product basis of the
 k lowest one-site states, with energies E and matrix elements X of x and X^2
 of x^2: H = E(x)1 + 1(x)E + J (X^2(x)1 + 1(x)X^2 - 2 X(x)X).  Every solve is
-dense and deterministic.  Thermal traces and imaginary-time displacement
-correlations from the spectrum validate the covariance formulas and the Monte
-Carlo sampler from a completely different direction.
+dense and deterministic.  Operators diagonal on the grid (x, x^2) act by
+scaling rows, and a one-site factor X(x)1 or 1(x)X on the kept two-site states
+by contracting X with one product-basis index, so no dense diagonal or
+Kronecker matrix multiplies a basis.  Thermal traces and imaginary-time
+displacement correlations from the spectrum validate the covariance formulas
+and the Monte Carlo sampler from a completely different direction.
 
 The ground-energy convention subtracts (1/2) Tr B: one site subtracts
 sqrt(a)/2, two sites subtract (sqrt(a) + sqrt(a + 4J))/2.  Two periodic sites
@@ -27,14 +30,18 @@ _OFFSETS = (-2, -1, 0, 1, 2)
 
 
 def _laplacian_1d(n: int, h: float) -> np.ndarray:
-    return sum(np.diag(np.full(n - abs(o), c), o) for o, c in zip(_OFFSETS, _STENCIL)) / h ** 2
+    lap = np.zeros((n, n))
+    for o, c in zip(_OFFSETS, _STENCIL):
+        np.fill_diagonal(lap[max(-o, 0):, max(o, 0):], c)
+    return lap / h ** 2
 
 
-def _lowest(ham: np.ndarray, operators, keep: int):
-    """The ``keep`` lowest eigenvalues of a dense matrix, and each operator in their basis."""
+def _lowest(ham: np.ndarray, diagonals, keep: int):
+    """The ``keep`` lowest eigenvalues of a dense matrix, and in their basis
+    each diagonal operator, given by its diagonal."""
     energies, vecs = np.linalg.eigh(ham)
     vecs = vecs[:, :keep]
-    return energies[:keep], [vecs.T @ (op @ vecs) for op in operators]
+    return energies[:keep], [vecs.T @ (diag[:, None] * vecs) for diag in diagonals]
 
 
 @dataclass
@@ -74,13 +81,18 @@ class GridHamiltonian:
         ham = -0.5 * _laplacian_1d(self.n_grid, x[1] - x[0]) + np.diag(self._onsite(x))
         if self.n_sites == 1:
             ham -= self.energy_shift * np.eye(self.n_grid)
-            return _lowest(ham, [np.diag(x)], self.n_grid)
+            return _lowest(ham, [x], self.n_grid)
         k = math.isqrt(4 * self.n_states - 1) + 1  # smallest k with k^2 >= 4 n_states
-        e, (xk, xsq) = _lowest(ham, [np.diag(x), np.diag(x ** 2)], k)
+        e, (xk, xsq) = _lowest(ham, [x, x ** 2], k)
         one = np.eye(k)
         pair = (np.diag(np.add.outer(e, e).ravel() - self.energy_shift)
                 + self.J * (np.kron(xsq, one) + np.kron(one, xsq) - 2.0 * np.kron(xk, xk)))
-        return _lowest(pair, [np.kron(xk, one), np.kron(one, xk)], self.n_states)
+        energies, vecs = np.linalg.eigh(pair)
+        vecs = vecs[:, :self.n_states]
+        # x on site 0 is xk (x) 1 and on site 1 is 1 (x) xk: xk acts on the first
+        # or the second product-basis index of the kept eigenvectors
+        by_site = (xk @ vecs.reshape(k, -1), xk @ vecs.reshape(k, k, -1))
+        return energies[:self.n_states], [vecs.T @ m.reshape(k * k, -1) for m in by_site]
 
     @property
     def energies(self) -> np.ndarray:

@@ -30,11 +30,6 @@ def potential(q, b: float, delta: float) -> float:
     return float(b * math.exp(-0.5 * delta * float(np.dot(q.ravel(), q.ravel()))))
 
 
-def rescaled_potential(x, b_m: float, delta_m: float) -> float:
-    """Rescaled anharmonic potential b_m exp(-delta_m |x|^2 / 2)."""
-    return potential(x, b_m, delta_m)
-
-
 def gaussian_representation_check(q, b: float, delta: float, n_nodes: int = 64):
     """Evaluate the Gaussian-integral form of the potential by quadrature.
 

@@ -18,7 +18,10 @@ for every field and boundary the weight lies in (0, 1] and no log-weight can
 overflow; the MCMC runs on the same shifted reference.  One core serves
 every importance-sampling estimator: ``accumulate`` sums columns over chunked
 draws in N_BATCHES batches, ``jackknife`` gives the delete-one-batch error of
-any ratio of column sums, and the ESS is Kong's (sum w)^2 / sum w^2.
+any ratio of column sums, and the ESS is Kong's (sum w)^2 / sum w^2.  Periodic
+draws can also come as their half-spectra sqrt(lambda) rfftn(z), which the
+filter computes anyway: translation-averaged two-point tables sum
+w |phi_hat|^2 over the draws and need no forward transform of their own.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.fft
@@ -100,9 +103,11 @@ class GaussianFieldSampler:
     and lambda the (nonnegative) circulant spectrum.  The spectrum is real and
     even, so the filter maps real fields to real fields, and the real
     half-spectrum transforms (``rfftn`` / ``irfftn``, halved along time)
-    compute it with about half the work of complex ones.  Dirichlet boxes use
-    the orthonormal sine transform in space and the real FFT in time.
-    Deterministic given the generator state; components are independent.
+    compute it with about half the work of complex ones; ``sample`` can
+    return the filtered half-spectrum itself, and ``field`` inverts it.
+    Dirichlet boxes use the orthonormal sine transform in space and the real
+    FFT in time.  Deterministic given the generator state; components are
+    independent.
     """
 
     def __init__(self, kernel: CovarianceKernel, n_slices: int, d: int = 1):
@@ -120,19 +125,27 @@ class GaussianFieldSampler:
     def shape(self) -> tuple:
         return self.lattice.dims + (self.n_slices, self.d)
 
-    def _filter(self, x: np.ndarray, factor: np.ndarray) -> np.ndarray:
-        """F^-1 (factor F x) over the Fourier axes of fields x (leading axes free).
-
-        The Fourier axes are space and time in a periodic box and time alone
-        in a Dirichlet box; ``factor`` lives on the half spectrum.
-        """
-        time_axis = x.ndim - 2
+    def _fourier_axes(self, ndim: int) -> tuple:
+        """Space and time in a periodic box, time alone in a Dirichlet box."""
+        time_axis = ndim - 2
         first = time_axis - self.lattice.nu if self._periodic else time_axis
-        axes = tuple(range(first, time_axis + 1))
-        xh = scipy.fft.rfftn(x, axes=axes)
+        return tuple(range(first, time_axis + 1))
+
+    def spectrum(self, x: np.ndarray) -> np.ndarray:
+        """rfftn of fields x over the Fourier axes (leading axes free)."""
+        return scipy.fft.rfftn(x, axes=self._fourier_axes(x.ndim))
+
+    def field(self, xh: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The fields whose half-spectra over the Fourier axes are ``xh``."""
+        axes = self._fourier_axes(xh.ndim)
+        return scipy.fft.irfftn(xh, s=self.shape[-1 - len(axes):-1], axes=axes,
+                                overwrite_x=overwrite)
+
+    def _filter(self, x: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """F^-1 (factor F x) over the Fourier axes; ``factor`` lives on the half spectrum."""
+        xh = self.spectrum(x)
         xh *= factor
-        return scipy.fft.irfftn(xh, s=[x.shape[a] for a in axes], axes=axes,
-                                overwrite_x=True)
+        return self.field(xh, overwrite=True)
 
     def _sine(self, x: np.ndarray) -> np.ndarray:
         """The orthonormal sine transform over the space axes (its own inverse)."""
@@ -140,9 +153,21 @@ class GaussianFieldSampler:
         return scipy.fft.dstn(x, type=1, norm="ortho",
                               axes=tuple(range(time_axis - self.lattice.nu, time_axis)))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n independent fields, shape (n, *dims, n_slices, d)."""
-        y = self._filter(rng.standard_normal((n,) + self.shape), self._sqrt_eig)
+    def sample(self, rng: np.random.Generator, n: int, *, spectral: bool = False) -> np.ndarray:
+        """n independent fields, shape (n, *dims, n_slices, d).
+
+        With ``spectral`` (periodic boxes only) the same fields come as their
+        half-spectra sqrt(lambda) rfftn(z) over space and time, shape
+        (n, *dims, n_slices // 2 + 1, d); ``field`` inverts them.
+        """
+        if spectral and not self._periodic:
+            raise ValueError("spectral draws need a periodic box")
+        z = rng.standard_normal((n,) + self.shape)
+        if spectral:
+            zh = self.spectrum(z)
+            zh *= self._sqrt_eig
+            return zh
+        y = self._filter(z, self._sqrt_eig)
         return y if self._periodic else self._sine(y)
 
     def apply_covariance(self, c: np.ndarray) -> np.ndarray:
@@ -224,15 +249,25 @@ class Ensemble:
             return np.zeros(self.sampler.shape)
         return -self.sampler.apply_covariance(self.linear_term)
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """n reference fields carrying the mean shift of the linear terms."""
-        psi = self.sampler.sample(rng, n)
-        return psi if self.linear_term is None else psi + self.mean_shift
+    @cached_property
+    def _mean_shift_spectrum(self) -> np.ndarray:
+        return self.sampler.spectrum(self.mean_shift)
+
+    def draw(self, rng: np.random.Generator, n: int, *, spectral: bool = False) -> np.ndarray:
+        """n reference fields carrying the mean shift of the linear terms (as
+        half-spectra with ``spectral``, as ``GaussianFieldSampler.sample``)."""
+        psi = self.sampler.sample(rng, n, spectral=spectral)
+        if self.linear_term is None:
+            return psi
+        return psi + (self._mean_shift_spectrum if spectral else self.mean_shift)
 
     def potential_density(self, phi: np.ndarray) -> np.ndarray:
         """V at each grid point: b_m exp(-delta_m |phi|^2 / 2), summed over nothing."""
-        sq = np.sum(phi ** 2, axis=-1)
-        return self.b_m * np.exp(-0.5 * self.delta_m * sq)
+        sq = np.square(phi[..., 0]) if self.d == 1 else np.sum(phi ** 2, axis=-1)
+        sq *= -0.5 * self.delta_m
+        np.exp(sq, out=sq)
+        sq *= self.b_m
+        return sq
 
     def weight(self, phi: np.ndarray) -> np.ndarray:
         """exp(-dt sum V) per field: the part of exp(-S) left after the shift, in (0, 1]."""
@@ -473,29 +508,29 @@ def truncated_two_point(ensemble: Ensemble, p1, p2, n_samples: int,
 def two_point_table(ensemble: Ensemble, time_lag, n_samples: int, seed: int):
     """Translation-averaged connected correlations for all site displacements.
 
-    Returns (K, K_err) arrays indexed by the displacement in FFT order; uses
-    the space-time autocorrelation irfftn(|rfftn(phi)|^2) of each sample, so
-    every site and time origin contributes.  ``time_lag`` is one lag in
-    slices, or a sequence of lags: then K and K_err gain a trailing lag axis,
-    and one set of draws serves every lag.  Periodic boxes only.
+    Returns (K, K_err) arrays indexed by the displacement in FFT order; sums
+    the space-time autocorrelation of each sample, so every site and time
+    origin contributes, as irfftn(sum_n w_n |phi_hat_n|^2) once per chunk of
+    half-spectrum draws phi_hat.  ``time_lag`` is one lag in slices, or a
+    sequence of lags: then K and K_err gain a trailing lag axis, and one set
+    of draws serves every lag.  Periodic boxes only.
     """
     if ensemble.lattice.boundary is not Boundary.PERIODIC:
         raise ValueError("translation averaging needs a periodic box")
     if ensemble.d != 1:
         raise ValueError("translation-averaged tables are single-component")
+    sampler = ensemble.sampler
     norm = ensemble.lattice.n_sites * ensemble.n_slices
-    axes = tuple(range(1, ensemble.lattice.nu + 2))
+    zero = (slice(None),) + (0,) * (ensemble.lattice.nu + 2)
 
-    def columns(phi):  # w, w * R(dx), w * box mean, each broadcast to the table
-        w = ensemble.weight(phi)
-        phi = phi[..., 0]
-        f = scipy.fft.rfftn(phi, axes=axes)
-        f *= f.conj()
-        corr = scipy.fft.irfftn(f, s=phi.shape[1:], axes=axes, overwrite_x=True) / norm
-        return np.broadcast_arrays(w.sum(), np.tensordot(w, corr[..., time_lag], axes=(0, 0)),
-                                   (w * phi.mean(axis=axes)).sum())
+    def columns(phi_hat):  # w, w * R(dx), w * box mean, each broadcast to the table
+        power = np.square(phi_hat.real) + np.square(phi_hat.imag)
+        total = phi_hat[zero].real.copy()  # the field's transform may overwrite phi_hat
+        w = ensemble.weight(sampler.field(phi_hat, overwrite=True))
+        corr = sampler.field(np.tensordot(w, power, axes=(0, 0)))[..., 0] / norm
+        return np.broadcast_arrays(w.sum(), corr[..., time_lag], (w @ total) / norm)
 
-    sums = accumulate(ensemble.draw, columns, n_samples, seed)
+    sums = accumulate(partial(ensemble.draw, spectral=True), columns, n_samples, seed)
     return jackknife(sums, lambda c: c[1] / c[0] - (c[2] / c[0]) ** 2)
 
 

@@ -5,8 +5,31 @@ import pytest
 
 from anhcrystal.covariance import CovarianceKernel
 from anhcrystal.lattice import Lattice
-from anhcrystal.oracle import (GridHamiltonian, convergence_check,
+from anhcrystal.oracle import (_OFFSETS, _STENCIL, GridHamiltonian, convergence_check,
                                thermal_correlation, thermal_trace)
+
+
+def dense_solution(ham: GridHamiltonian):
+    """The solve with dense diagonal matrices and Kronecker products throughout."""
+    x = np.linspace(-ham.extent, ham.extent, ham.n_grid)
+    lap = sum(np.diag(np.full(ham.n_grid - abs(o), c), o)
+              for o, c in zip(_OFFSETS, _STENCIL)) / (x[1] - x[0]) ** 2
+    one_site = -0.5 * lap + np.diag(ham._onsite(x))
+
+    def lowest(h, operators, keep):
+        energies, vecs = np.linalg.eigh(h)
+        vecs = vecs[:, :keep]
+        return energies[:keep], [vecs.T @ (op @ vecs) for op in operators]
+
+    if ham.n_sites == 1:
+        one_site -= ham.energy_shift * np.eye(ham.n_grid)
+        return lowest(one_site, [np.diag(x)], ham.n_grid)
+    k = math.isqrt(4 * ham.n_states - 1) + 1
+    e, (xk, xsq) = lowest(one_site, [np.diag(x), np.diag(x ** 2)], k)
+    one = np.eye(k)
+    pair = (np.diag(np.add.outer(e, e).ravel() - ham.energy_shift)
+            + ham.J * (np.kron(xsq, one) + np.kron(one, xsq) - 2.0 * np.kron(xk, xk)))
+    return lowest(pair, [np.kron(xk, one), np.kron(one, xk)], ham.n_states)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +111,18 @@ class TestGridConvergence:
                               extent=8.0, n_grid=96, n_states=150)
         report = convergence_check(ham, 2.0, taus=(0.5, 1.0))
         assert report["converged"], report
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("n_sites, b_m", [(1, 0.5), (2, 0.0), (2, 0.5)])
+    def test_solve_equals_the_dense_kronecker_solve(self, n_sites, b_m):
+        ham = GridHamiltonian(n_sites=n_sites, a=1.0, J=0.25 * (n_sites - 1), b_m=b_m,
+                              delta_m=1.0, extent=8.0, n_grid=96, n_states=150)
+        energies, displacements = dense_solution(ham)
+        assert np.array_equal(ham.energies, energies)  # the Hamiltonian is unchanged
+        for site, want in enumerate(displacements):
+            np.testing.assert_allclose(ham.displacement_matrix(site), want, rtol=0,
+                                       atol=1e-12)
 
 
 class TestValidation:

@@ -10,8 +10,12 @@ from anhcrystal.potential import (BoundReport, auxiliary_potential,
                                   finite_difference_derivative,
                                   gaussian_representation_check,
                                   gibbs_factor_derivatives, nth_derivative,
-                                  nth_derivative_hermite, potential,
-                                  rescaled_potential)
+                                  nth_derivative_hermite, potential)
+
+
+def rescaled_potential(x, b_m: float, delta_m: float) -> float:
+    """Rescaled anharmonic potential b_m exp(-delta_m |x|^2 / 2)."""
+    return potential(x, b_m, delta_m)
 
 
 class TestPotential:

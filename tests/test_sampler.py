@@ -168,7 +168,44 @@ class TestRealTransforms:
                                    atol=1e-12 * np.abs(cov).max())
 
 
+    @pytest.mark.parametrize("nu, dims, n_slices, h_hat", [
+        (1, (5,), 9, ()),
+        (2, (4, 6), 8, (0.2,)),
+    ])
+    def test_spectral_draws_are_the_half_spectra_of_the_draws(self, nu, dims, n_slices,
+                                                              h_hat):
+        ens = Ensemble(lattice=Lattice(nu, dims), a=1.0, J=0.25, beta_hat=2.0,
+                       n_slices=n_slices, b_m=0.4, delta_m=1.0, d=1, h_hat=h_hat)
+        phi = ens.draw(np.random.default_rng(6), 5)
+        phi_hat = ens.draw(np.random.default_rng(6), 5, spectral=True)
+        assert phi_hat.shape == (5,) + dims + (n_slices // 2 + 1, 1)
+        back = ens.sampler.field(phi_hat)
+        if h_hat:  # the mean shift is added before, not after, the inverse transform
+            np.testing.assert_allclose(back, phi, rtol=0, atol=1e-12 * np.abs(phi).max())
+        else:
+            assert np.array_equal(back, phi)
+
+    def test_spectral_draws_need_a_periodic_box(self):
+        kern = CovarianceKernel(Lattice(1, (5,), Boundary.DIRICHLET), 1.0, 0.25, 2.0)
+        with pytest.raises(ValueError):
+            GaussianFieldSampler(kern, 8).sample(np.random.default_rng(0), 2, spectral=True)
+
+
 class TestAction:
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_density_weight_and_action_equal_the_plain_expressions(self, d):
+        ens = Ensemble(lattice=Lattice(1, (4,)), a=1.0, J=0.25, beta_hat=2.0, n_slices=8,
+                       b_m=0.4, delta_m=1.3, d=d, h_hat=(0.1,) * d)
+        phi = np.random.default_rng(3).standard_normal((20,) + ens.sampler.shape)
+        before = phi.copy()
+        dens = ens.b_m * np.exp(-0.5 * ens.delta_m * np.sum(phi ** 2, axis=-1))
+        total = dens.sum(axis=tuple(range(1, dens.ndim)))
+        linear = np.sum(phi * ens.linear_term, axis=tuple(range(1, phi.ndim)))
+        assert np.array_equal(ens.potential_density(phi), dens)
+        assert np.array_equal(ens.weight(phi), np.exp(-ens.grid.delta_tau * total))
+        assert np.array_equal(ens.action(phi), ens.grid.delta_tau * total + linear)
+        assert np.array_equal(phi, before)
+
     def test_free_field_zero(self):
         ens = chain_ensemble(b_m=0.0)
         rng = np.random.default_rng(0)
@@ -308,16 +345,16 @@ class TestTwoPoint:
             np.testing.assert_allclose(k[:, i], k1, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(err[:, i], err1, rtol=1e-12, atol=1e-15)
 
-    def test_table_equals_complex_autocorrelation(self):
-        ens = chain_ensemble(n=6, b_m=0.4, n_slices=9, h_hat=(0.3,))
+    @staticmethod
+    def assert_table_equals_complex_autocorrelation(ens):
         lags = [0, 2, 5]
-        axes = (1, 2)
+        axes = tuple(range(1, ens.lattice.nu + 2))
 
         def columns(phi):  # two_point_table's columns through complex transforms
             w = ens.weight(phi)
             phi = phi[..., 0]
             f = np.fft.fftn(phi, axes=axes)
-            corr = np.fft.ifftn(f * np.conj(f), axes=axes).real / (6 * 9)
+            corr = np.fft.ifftn(f * np.conj(f), axes=axes).real / phi[0].size
             return np.broadcast_arrays(w.sum(), np.tensordot(w, corr[..., lags], axes=(0, 0)),
                                        (w * phi.mean(axis=axes)).sum())
 
@@ -326,6 +363,31 @@ class TestTwoPoint:
         k, e = two_point_table(ens, lags, 2_000, seed=4)
         np.testing.assert_allclose(k, k_ref, rtol=0, atol=1e-12 * np.abs(k_ref).max())
         np.testing.assert_allclose(e, e_ref, rtol=0, atol=1e-12 * np.abs(e_ref).max())
+
+    def test_table_equals_complex_autocorrelation(self):
+        # an odd slice count, and a mean shift
+        self.assert_table_equals_complex_autocorrelation(
+            chain_ensemble(n=6, b_m=0.4, n_slices=9, h_hat=(0.3,)))
+
+    def test_table_equals_complex_autocorrelation_in_a_plane(self):
+        self.assert_table_equals_complex_autocorrelation(
+            Ensemble(lattice=Lattice(2, (4, 6)), a=1.0, J=0.25, beta_hat=2.0, n_slices=8,
+                     b_m=0.4, delta_m=1.0, d=1, h_hat=(0.2,)))
+
+    def test_table_draws_every_field_through_sample(self, monkeypatch):
+        # GaussianFieldSampler.sample is the one entry point of every draw,
+        # where a traced run counts the fields
+        drawn = []
+        sample = GaussianFieldSampler.sample
+
+        def spy(self, rng, n, **kwargs):
+            out = sample(self, rng, n, **kwargs)
+            drawn.append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(GaussianFieldSampler, "sample", spy)
+        two_point_table(chain_ensemble(b_m=0.4, h_hat=(0.2,)), [0, 3], 3_000, seed=2)
+        assert sum(drawn) == 3_000, drawn
 
 
 class TestTempered:
@@ -497,7 +559,7 @@ class TestImportanceCore:
         draws = []
         sample = ens.sampler.sample
         monkeypatch.setattr(ens.sampler, "sample",
-                            lambda rng, n: draws.append(n) or sample(rng, n))
+                            lambda rng, n, **kw: draws.append(n) or sample(rng, n, **kw))
         obs = ens.mean_displacement()
         chain = pcn_expectation(ens, obs, 5000, seed=4)
         assert max(draws) == 64 and sum(draws) == 1 + 5500, draws
