@@ -135,17 +135,17 @@ class GaussianFieldSampler:
         """rfftn of fields x over the Fourier axes (leading axes free)."""
         return scipy.fft.rfftn(x, axes=self._fourier_axes(x.ndim))
 
-    def field(self, xh: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """The fields whose half-spectra over the Fourier axes are ``xh``."""
+    def field(self, xh: np.ndarray) -> np.ndarray:
+        """The fields whose half-spectra over the Fourier axes are ``xh``; consumes ``xh``."""
         axes = self._fourier_axes(xh.ndim)
         return scipy.fft.irfftn(xh, s=self.shape[-1 - len(axes):-1], axes=axes,
-                                overwrite_x=overwrite)
+                                overwrite_x=True)
 
     def _filter(self, x: np.ndarray, factor: np.ndarray) -> np.ndarray:
         """F^-1 (factor F x) over the Fourier axes; ``factor`` lives on the half spectrum."""
         xh = self.spectrum(x)
         xh *= factor
-        return self.field(xh, overwrite=True)
+        return self.field(xh)
 
     def _sine(self, x: np.ndarray) -> np.ndarray:
         """The orthonormal sine transform over the space axes (its own inverse)."""
@@ -525,8 +525,8 @@ def two_point_table(ensemble: Ensemble, time_lag, n_samples: int, seed: int):
 
     def columns(phi_hat):  # w, w * R(dx), w * box mean, each broadcast to the table
         power = np.square(phi_hat.real) + np.square(phi_hat.imag)
-        total = phi_hat[zero].real.copy()  # the field's transform may overwrite phi_hat
-        w = ensemble.weight(sampler.field(phi_hat, overwrite=True))
+        total = phi_hat[zero].real.copy()  # ``field`` consumes phi_hat
+        w = ensemble.weight(sampler.field(phi_hat))
         corr = sampler.field(np.tensordot(w, power, axes=(0, 0)))[..., 0] / norm
         return np.broadcast_arrays(w.sum(), corr[..., time_lag], (w @ total) / norm)
 

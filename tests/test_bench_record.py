@@ -30,3 +30,11 @@ def test_summary_takes_medians_and_pools_counts():
 def test_rejects_empty_runs():
     with pytest.raises(SystemExit):
         bench_record.parse_args(["--runs", "0"])
+
+
+def test_run_length_and_seeds_are_fixed():
+    assert bench_record.run_seconds(bench_record.ROOT) == 30.0
+    with pytest.raises(SystemExit):
+        bench_record.parse_args(["--seconds", "5"])
+    with pytest.raises(SystemExit):
+        bench_record.parse_args(["--seed", "7"])

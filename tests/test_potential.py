@@ -13,11 +13,6 @@ from anhcrystal.potential import (BoundReport, auxiliary_potential,
                                   nth_derivative_hermite, potential)
 
 
-def rescaled_potential(x, b_m: float, delta_m: float) -> float:
-    """Rescaled anharmonic potential b_m exp(-delta_m |x|^2 / 2)."""
-    return potential(x, b_m, delta_m)
-
-
 class TestPotential:
     def test_value_at_origin(self):
         assert potential((0.0, 0.0), b=0.7, delta=2.0) == 0.7
@@ -29,7 +24,7 @@ class TestPotential:
         b_m, delta_m = b * math.sqrt(m), delta / math.sqrt(m)
         for x in (0.0, 0.7, -1.3):
             lhs = math.sqrt(m) * potential(alpha * x, b, delta)
-            assert lhs == pytest.approx(rescaled_potential(x, b_m, delta_m), rel=1e-12)
+            assert lhs == pytest.approx(potential(x, b_m, delta_m), rel=1e-12)
 
     def test_vanishes_at_sharp_width(self):
         assert potential(1.0, b=1.0, delta=1e6) < 1e-200

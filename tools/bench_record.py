@@ -1,9 +1,11 @@
 """Run the benchmark k times per workload and write the next BENCH_<n>.json.
 
-    python3 tools/bench_record.py --runs 3 --seconds 30 --seed 1
+    python3 tools/bench_record.py --runs 3
 
 Runs ``perfbench/run.py`` (untraced) ``--runs`` times for each workload, one
-process per run, with seeds ``--seed``, ``--seed + 1``, ...  Writes
+process per run of the length ``run_seconds`` that ``BENCHMARK.json`` fixes,
+with seeds 1, 2, ..., so that records made with the same ``--runs`` are runs
+of the same inputs.  Each run's check lines pass through on stderr.  Writes
 ``BENCH_<n>.json`` at the root of the checkout, n one past the highest record
 there, holding per workload the median and the per-run values of each
 end-to-end metric, the operations attempted and failed, whether every run's
@@ -29,11 +31,9 @@ WORKLOADS = ("gibbs", "expansion", "oracle")
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--runs", type=int, default=3, help="runs per workload")
-    parser.add_argument("--seconds", type=float, default=30.0, help="length of each run")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first run")
     args = parser.parse_args(argv)
-    if args.runs < 1 or args.seconds <= 0:
-        parser.error("need at least one run of positive length")
+    if args.runs < 1:
+        parser.error("need at least one run")
     return args
 
 
@@ -43,12 +43,16 @@ def next_record(root: Path) -> Path:
     return root / f"BENCH_{max(taken, default=0) + 1}.json"
 
 
+def run_seconds(root: Path) -> float:
+    return float(json.loads((root / "BENCHMARK.json").read_text())["run_seconds"])
+
+
 def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """The result line of one benchmark run, and the environment it reported."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
-        cwd=ROOT, capture_output=True, text=True, check=True)
+        cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     report = ROOT / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     return result, json.loads(report.read_text())["environment"]
@@ -74,18 +78,19 @@ def commit() -> str:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    seeds = [args.seed + i for i in range(args.runs)]
+    seconds = run_seconds(ROOT)
+    seeds = list(range(1, args.runs + 1))
     workloads, environment = {}, None
     for workload in WORKLOADS:
         results = []
         for seed in seeds:
-            result, environment = run_once(workload, seed, args.seconds)
+            result, environment = run_once(workload, seed, seconds)
             results.append(result)
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{k} {v['value']:.4g}" for k, v in result["metrics"].items()),
                 file=sys.stderr)
         workloads[workload] = summarize(results)
-    record = {"commit": commit(), "runs": args.runs, "seconds": args.seconds,
+    record = {"commit": commit(), "runs": args.runs, "seconds": seconds,
               "seeds": seeds, "environment": environment, "workloads": workloads}
     path = next_record(ROOT)
     path.write_text(json.dumps(record, indent=1) + "\n")
