@@ -72,13 +72,18 @@ def _build_bc(cfg: dict, n_slices: int, d: int) -> BoundaryCondition:
     raise ConfigError(f"unknown boundary condition {spec!r}")
 
 
+def _slice_count(cfg: dict, beta_hat: float) -> int:
+    """Time slices of a box: slices_per_unit per unit of beta_hat, at least 2."""
+    return max(2, round(cfg["slices_per_unit"] * beta_hat))
+
+
 def build_ensemble(params: ModelParams, cfg: dict,
                    bc: BoundaryCondition | None = None) -> Ensemble:
     r = rescale(params)
     if math.isinf(r.beta_hat):
         raise ConfigError("sampling requires finite beta; covariance formulas "
                           "support beta = inf")
-    n_slices = max(2, round(cfg["slices_per_unit"] * r.beta_hat))
+    n_slices = _slice_count(cfg, r.beta_hat)
     bc = bc or _build_bc(cfg, n_slices, params.d)
     lat = Lattice(nu=params.nu, dims=params.dims, boundary=bc.lattice_boundary())
     return Ensemble(lattice=lat, a=params.a, J=params.J, beta_hat=r.beta_hat,
@@ -258,7 +263,7 @@ def cmd_uniqueness(cfg: dict, out_dir: Path, args) -> int:
     p = model_params(cfg)
     r = rescale(p)
     sizes = [int(s) for s in (args.sizes or "8,16").split(",")]
-    n_slices = max(2, round(cfg["slices_per_unit"] * r.beta_hat))
+    n_slices = _slice_count(cfg, r.beta_hat)
 
     def make_pair(n):
         lat = Lattice(nu=1, dims=(n,), boundary=Boundary.DIRICHLET)
@@ -287,7 +292,7 @@ def cmd_order_param(cfg: dict, out_dir: Path, args) -> int:
     r = rescale(p)
     h_values = [float(h) for h in (args.h_values or "0.1,0.05,0").split(",")]
     sizes = [int(s) for s in (args.sizes or str(p.dims[0])).split(",")]
-    n_slices = max(2, round(cfg["slices_per_unit"] * r.beta_hat))
+    n_slices = _slice_count(cfg, r.beta_hat)
 
     def make_ensemble(n, h):
         lat = Lattice(nu=1, dims=(n,))

@@ -52,6 +52,7 @@ MAX_TREE_ORDER = 8
 MAX_BF_ORDER = 7
 ORDER_CAP = {RodMode.LOW_TEMPERATURE: 3, RodMode.HIGH_TEMPERATURE: 4}
 GL_NODES = 8
+FD_STEP = 1e-3     # step of the finite-difference remainder in newton_leibniz_report
 RQMC_BATCHES = 20
 _LETTERS = "abcdefgh"  # einsum subscripts of line ends; "n" is the batch axis
 
@@ -437,11 +438,10 @@ def _sobol_directions(dim: int, m: int) -> np.ndarray:
     return (points[2 ** np.arange(1, m + 1) - 1] * 2 ** SOBOL_BITS).astype(np.uint32)
 
 
-def scrambled_normals(n_samples: int, dim: int, seed: int,
-                      n_batches: int = RQMC_BATCHES) -> np.ndarray:
+def scrambled_normals(n_samples: int, dim: int, seed: int) -> np.ndarray:
     """Standard normals from independently scrambled Sobol blocks (Owen 1997).
 
-    Rows come in ``n_batches`` consecutive blocks of equal size, one
+    Rows come in RQMC_BATCHES consecutive blocks of equal size, one
     scramble each, so the block means are independent unbiased estimates and
     their spread is an honest error bar.  The expansion integrands are smooth
     functions of a dozen or so normals, where this randomized quasi-Monte
@@ -453,15 +453,15 @@ def scrambled_normals(n_samples: int, dim: int, seed: int,
     (Matousek 1998), drawn as the engine draws them, are applied in numpy:
     a scramble is GF(2)-linear, so all blocks are scrambled at once.
     """
-    per = n_samples // n_batches
-    if per * n_batches != n_samples:
-        raise ValueError(f"sample count must be a multiple of {n_batches}")
+    per = n_samples // RQMC_BATCHES
+    if per * RQMC_BATCHES != n_samples:
+        raise ValueError(f"sample count must be a multiple of {RQMC_BATCHES}")
     m = math.ceil(math.log2(per))
     # cols[b, d, k]: column k of block b's scramble matrix as an integer
     # (scipy's bit order reverses both axes of ltm); table row 0: the shift
-    table = np.empty((n_batches, per, dim), dtype=np.uint32)
-    cols = np.empty((n_batches, dim, SOBOL_BITS), dtype=np.uint32)
-    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_batches)):
+    table = np.empty((RQMC_BATCHES, per, dim), dtype=np.uint32)
+    cols = np.empty((RQMC_BATCHES, dim, SOBOL_BITS), dtype=np.uint32)
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(RQMC_BATCHES)):
         rng = np.random.default_rng(child.spawn(1)[0])
         shift = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32)
         table[b, 0] = (shift << _BIT).sum(axis=1, dtype=np.uint32)
@@ -490,13 +490,6 @@ def _normals(dim: int):
 def _column_means(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Means of the sum columns 1.. per count column 0, with jackknife errors."""
     return jackknife(sums, lambda c: c[1:] / c[0])
-
-
-def _mean_and_error(values: np.ndarray, n_batches: int) -> tuple[float, float]:
-    """Mean of per-sample values and its jackknife error over consecutive batches."""
-    per = values.reshape(n_batches, -1)
-    sums = np.stack([np.full(n_batches, per.shape[1]), per.sum(axis=1)], axis=1)
-    return float(values.mean()), float(_column_means(sums)[1][0])
 
 
 @dataclass
@@ -549,6 +542,12 @@ class ClusterInstance:
         return np.concatenate([self.rod_points[r] for r in self.x1_rod_ids])
 
     @cached_property
+    def x1_monomials(self) -> list[tuple[int, int]]:
+        """(column in ``x1_points``, power) of each observable point."""
+        column = {int(t): i for i, t in enumerate(self.x1_points)}
+        return [(column[t], power) for t, power in self.monomials.items()]
+
+    @cached_property
     def free_rod_ids(self) -> tuple[int, ...]:
         return tuple(r for r in range(len(self.partition.rods))
                      if r not in self.x1_rod_ids)
@@ -564,8 +563,8 @@ class ClusterInstance:
     def blocks_for(self, yseq) -> list[np.ndarray]:
         return [self.x1_points] + [self.rod_points[r] for r in yseq]
 
-    def gibbs_weight(self, phi_flat: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """exp(-dt * sum over points of V(phi))."""
+    def gibbs_weight(self, phi_flat: np.ndarray, points) -> np.ndarray:
+        """exp(-dt * sum of V(phi)) over the columns ``points`` of phi_flat."""
         return self._bump_weight(np.exp(-0.5 * self.ensemble.delta_m * phi_flat[:, points] ** 2))
 
     def _bump_weight(self, bump: np.ndarray) -> np.ndarray:
@@ -597,11 +596,13 @@ class ClusterInstance:
 
     # -- evaluators ---------------------------------------------------------
 
-    def observable_value(self, phi_flat: np.ndarray) -> np.ndarray:
-        out = np.ones(phi_flat.shape[0])
-        for t, power in self.monomials.items():
-            out *= phi_flat[:, t] ** power
-        return out
+    def weighted_observable(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A exp(-V), exp(-V)) per row of a field on blocks' points, X_1's leading."""
+        weight = self.gibbs_weight(phi, slice(None))
+        out = np.ones(phi.shape[0])
+        for col, power in self.x1_monomials:
+            out *= phi[:, col] ** power
+        return out * weight, weight
 
     def symbolic_integrand(self, tree: Tree, yseq) -> list[SymbolicTerm]:
         """Fully expanded derivative terms for one (tree, rod sequence)."""
@@ -689,10 +690,7 @@ class ClusterInstance:
         chol = np.linalg.cholesky(mat)
 
         def columns(z):
-            full = np.zeros((len(z), self.grid.n_points))
-            full[:, pts] = z @ chol.T
-            vals = self.observable_value(full) * self.gibbs_weight(full, pts)
-            return len(z), vals.sum()
+            return len(z), self.weighted_observable(z @ chol.T)[0].sum()
 
         (k,), (dk,) = _column_means(accumulate(_normals(len(pts)), columns, n_samples, seed))
         return float(k), float(dk)
@@ -715,7 +713,8 @@ class ClusterInstance:
         blocks' own points, and every tree is scored on that phi with its
         weight f(eta; s); the Gibbs weight multiplies the tree sum once.  Rows
         go in chunks whose kernels hold at most CHUNK_VALUES values.  Trees
-        share rows, so the error is that of the per-row tree sum.
+        share rows, so the error is the jackknife error of the per-row tree
+        sum over the scrambles.
         """
         n = len(yseq) + 1
         if n > ORDER_CAP[self.mode]:
@@ -735,7 +734,9 @@ class ClusterInstance:
             ks, weight = self._contract(trees, blocks, phi)
             values[start:start + rows] = weight * sum(f_factor(tree, s_c) * k
                                                       for tree, k in zip(trees, ks))
-        return _mean_and_error(values, RQMC_BATCHES)
+        per = values.reshape(RQMC_BATCHES, -1)
+        sums = np.stack([np.full(RQMC_BATCHES, per.shape[1]), per.sum(axis=1)], axis=1)
+        return float(values.mean()), float(jackknife(sums, lambda c: c[1] / c[0])[1])
 
     def ratio_f(self, yseq, n_samples: int, seed: int) -> tuple[float, float]:
         """Z(complement of X_n) / Z over common reference draws; >= 1 always."""
@@ -805,27 +806,28 @@ class ClusterInstance:
         The decoupled kernel cuts X_1 from its complement (the order-1 term
         factorizes there), so this difference equals direct - (order-1 term)
         with the shared-noise part cancelled sample by sample: the leading
-        Cholesky corner is the X_1 block for both kernels.  Returns
+        Cholesky corner is the X_1 block for both kernels.  Rods tile the
+        box, so the coupled kernel is the reference kernel and the mean weight
+        of its draws is Z: both the residual and direct are self-normalised
+        ratios on the same draws, with jackknife errors.  Returns
         (residual, stderr, direct, direct_stderr).
         """
         comp_points = np.concatenate([self.rod_points[r] for r in self.free_rod_ids])
         blocks = [self.x1_points, comp_points]
+        coupled_root, cut_root = (np.linalg.cholesky(self.block_matrix(blocks, [s])[1])
+                                  for s in (1.0, 0.0))
 
         def columns(z):
-            coupled = _full_expectation_values(self, blocks, np.array([1.0]), z)
-            cut = _full_expectation_values(self, blocks, np.array([0.0]), z)
-            return len(z), (coupled - cut).sum(), coupled.sum()
+            coupled, weight = self.weighted_observable(z @ coupled_root.T)
+            cut = self.weighted_observable(z @ cut_root.T)[0]
+            return (coupled - cut).sum(), coupled.sum(), weight.sum()
 
         n_pts = len(self.x1_points) + len(comp_points)
-        (diff, full), (ddiff, dfull) = _column_means(
-            accumulate(_normals(n_pts), columns, n_samples, seed))
-        z_t, dz_t = self.partition_weight(n_samples, seed + 1)
-        resid_err = math.hypot(ddiff / z_t, diff * dz_t / z_t ** 2)
-        direct_err = math.hypot(dfull / z_t, full * dz_t / z_t ** 2)
-        return float(diff / z_t), resid_err, float(full / z_t), direct_err
+        (resid, direct), (dresid, ddirect) = jackknife(
+            accumulate(_normals(n_pts), columns, n_samples, seed), lambda c: c[:2] / c[2])
+        return float(resid), float(dresid), float(direct), float(ddirect)
 
-    def second_step_residual(self, n_samples: int, seed: int,
-                             n_nodes: int = GL_NODES) -> tuple[float, float]:
+    def second_step_residual(self, n_samples: int, seed: int) -> tuple[float, float]:
         """direct - (order-1 + order-2 terms), telescoped pathwise on common draws.
 
         The order-1 residual is sum over Y_2 of the s_1 integral of
@@ -838,12 +840,13 @@ class ClusterInstance:
         first-order part -dt b_m sum exp(-delta_m phi^2 / 2) has a closed-form
         Gaussian mean given the X_2 normals, so it is swapped for that mean
         at both ends (a control variate; the estimand is unchanged).  Normals
-        are scrambled Sobol blocks.  Returns (residual, stderr).
+        are scrambled Sobol blocks.  Z comes from the same rows drawn through
+        the root of the full kernel, so the residual is a self-normalised
+        ratio with one jackknife over the scrambles.  Returns (residual, stderr).
         """
         tree = Tree(parent=(1,))
-        nodes, weights = gauss_legendre_unit(n_nodes)
+        nodes, weights = gauss_legendre_unit()
         z = scrambled_normals(n_samples, self.grid.n_points, seed)
-        z_t, dz_t = self.partition_weight(n_samples, seed + 1)
         acc = np.zeros(n_samples)
         for y in self.free_rod_ids:
             rest = [self.rod_points[r] for r in self.free_rod_ids if r != y]
@@ -860,8 +863,10 @@ class ClusterInstance:
                 end = self._rest_weight(phi[:, n2:], z[:, :n2] @ chol[n2:, :n2].T,
                                         np.sum(chol[n2:, n2:] ** 2, axis=1))
                 acc += w * (k * weight) * (end - end_cut)
-        diff, ddiff = _mean_and_error(acc, RQMC_BATCHES)
-        return diff / z_t, math.hypot(ddiff / z_t, diff * dz_t / z_t ** 2)
+        z_weight = self.gibbs_weight(z @ np.linalg.cholesky(self.full_matrix).T, slice(None))
+        sums = np.stack([acc, z_weight], axis=1).reshape(RQMC_BATCHES, -1, 2).sum(axis=1)
+        resid, dresid = jackknife(sums, lambda c: c[0] / c[1])
+        return float(resid), float(dresid)
 
     def _rest_weight(self, phi: np.ndarray, mean, var) -> np.ndarray:
         """exp(-dt sum V(phi)) with its first-order term replaced by its mean.
@@ -981,15 +986,17 @@ class SplitReport:
         return val, math.hypot(self.term_one[1], self.remainder_ibp[1])
 
 
-def newton_leibniz_report(instance: ClusterInstance, n_samples: int, seed: int,
-                          n_nodes: int = GL_NODES, fd_step: float = 1e-3) -> SplitReport:
+def newton_leibniz_report(instance: ClusterInstance, n_samples: int,
+                          seed: int) -> SplitReport:
     """First-step identity on a two-rod box, remainder computed two ways.
 
     direct = (block term) * Z(X_1^c)/Z + integral over s of the derivative
     term, where the derivative term is evaluated (i) by the two-point
     derivative operator under the interpolated Gaussian and (ii) by finite
     differences of the interpolated expectation itself (common draws keep it
-    smooth in s).
+    smooth in s).  The two rods fill the box, so the s = 1 end of the same
+    normals is the reference kernel: both remainders are ratios over its mean
+    weight Z, with one jackknife.
     """
     if len(instance.free_rod_ids) != 1:
         raise ValueError("the first-step identity check wants exactly two rods")
@@ -1001,32 +1008,23 @@ def newton_leibniz_report(instance: ClusterInstance, n_samples: int, seed: int,
     direct = _direct_estimate(instance, 4 * n_samples, seed + 1,)
     k1, dk1 = instance.order_one(n_samples, seed + 2)
     f1, df1 = instance.ratio_f((), n_samples, seed + 3)
-    z_t, dz_t = instance.partition_weight(n_samples, seed + 4)
     term_one = (k1 * f1, math.hypot(f1 * dk1, k1 * df1))
 
     rng = np.random.default_rng(seed + 5)
     z = rng.standard_normal((n_samples, len(all_pts)))
-    nodes, weights = gauss_legendre_unit(n_nodes)
+    nodes, weights = gauss_legendre_unit()
+
+    def end(s):
+        return instance.weighted_observable(instance.sample_block(blocks, np.array([s]), z)[1])
 
     ibp_acc = np.zeros(n_samples)
     fd_acc = np.zeros(n_samples)
     for x, w in zip(nodes, weights):
         ibp_acc += w * instance.i_term(tree, yseq, np.array([x]), z)
-        up = _full_expectation_values(instance, blocks, np.array([x + fd_step]), z)
-        dn = _full_expectation_values(instance, blocks, np.array([x - fd_step]), z)
-        fd_acc += w * (up - dn) / (2.0 * fd_step)
-    remainder = []
-    for acc in (ibp_acc, fd_acc):
-        mean, err = _mean_and_error(acc, N_BATCHES)
-        remainder.append((mean / z_t, err / z_t))
+        fd_acc += w * (end(x + FD_STEP)[0] - end(x - FD_STEP)[0]) / (2.0 * FD_STEP)
+    weight = end(1.0)[1]
+    sums = np.stack([ibp_acc, fd_acc, weight], axis=1).reshape(N_BATCHES, -1, 3).sum(axis=1)
+    (ibp, fd), (dibp, dfd) = jackknife(sums, lambda c: c[:2] / c[2])
     return SplitReport(direct=direct, term_one=term_one,
-                       remainder_ibp=tuple(remainder[0]),
-                       remainder_fd=tuple(remainder[1]))
-
-
-def _full_expectation_values(instance: ClusterInstance, blocks, s, z):
-    """Integrand A * exp(-V(T)) under the full interpolated kernel at s."""
-    pts, phi = instance.sample_block(blocks, s, z)
-    full = np.zeros((phi.shape[0], instance.grid.n_points))
-    full[:, pts] = phi
-    return instance.observable_value(full) * instance.gibbs_weight(full, pts)
+                       remainder_ibp=(float(ibp), float(dibp)),
+                       remainder_fd=(float(fd), float(dfd)))

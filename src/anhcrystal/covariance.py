@@ -174,12 +174,7 @@ class CovarianceKernel:
         """Temporal factor at grid lags, shape (*dims, n_slices)."""
         self._check_finite_time()
         dt = self.beta_hat / n_slices
-        taus = dt * np.arange(n_slices)
-        lam = np.sqrt(self.eps_grid)[..., None]
-        t = taus[(None,) * self.lattice.nu + (slice(None),)]
-        num = np.exp(-t * lam) + np.exp(-(self.beta_hat - t) * lam)
-        den = 2.0 * lam * -np.expm1(-self.beta_hat * lam)
-        return num / den
+        return temporal_factor(self.eps_grid[..., None], dt * np.arange(n_slices), self.beta_hat)
 
     def grid_eigenvalues(self, n_slices: int) -> np.ndarray:
         """Spectrum of the grid-restricted kernel under space x time Fourier modes.

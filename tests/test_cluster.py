@@ -17,7 +17,8 @@ from anhcrystal.cluster import (RQMC_BATCHES, ClusterInstance, PolyExp, Symbolic
                                 scrambled_normals)
 from anhcrystal.lattice import Lattice, RodMode
 from anhcrystal.potential import nth_derivative
-from anhcrystal.sampler import Ensemble, periodic_bc
+from anhcrystal.sampler import (Ensemble, accumulate, jackknife, periodic_bc,
+                                reweight_expectation)
 
 
 def make_instance(dims=(2,), beta_hat=2.0, n_slices=8, b_m=0.3, delta_m=1.0,
@@ -80,6 +81,24 @@ def quadrature_term(inst, yseq, n_samples, seed):
             acc += w * f_factor(tree, s) * inst.i_term(tree, yseq, s, z)
     means = acc.reshape(RQMC_BATCHES, -1).mean(axis=1)
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(RQMC_BATCHES))
+
+
+def separate_pass_first_step(inst, n_samples, seed):
+    """The first-step residual over Z from a separate ``partition_weight`` pass."""
+    comp = np.concatenate([inst.rod_points[r] for r in inst.free_rod_ids])
+    blocks = [inst.x1_points, comp]
+
+    def columns(z):
+        coupled, cut = (inst.weighted_observable(inst.sample_block(blocks, np.array([s]), z)[1])[0]
+                        for s in (1.0, 0.0))
+        return len(z), (coupled - cut).sum()
+
+    def draw(rng, n):
+        return rng.standard_normal((n, inst.grid.n_points))
+
+    diff, ddiff = jackknife(accumulate(draw, columns, n_samples, seed), lambda c: c[1] / c[0])
+    z, dz = inst.partition_weight(n_samples, seed + 1)
+    return diff / z, math.hypot(ddiff / z, diff * dz / z ** 2)
 
 
 class TestTrees:
@@ -378,9 +397,9 @@ class TestClusterTerms:
 
 class TestSharedDraws:
     def test_scrambled_normals_blocks(self):
-        z = scrambled_normals(4000, 6, seed=3, n_batches=20)
+        z = scrambled_normals(4000, 6, seed=3)
         assert z.shape == (4000, 6)
-        assert np.array_equal(z, scrambled_normals(4000, 6, seed=3, n_batches=20))
+        assert np.array_equal(z, scrambled_normals(4000, 6, seed=3))
         assert abs(z.mean()) < 0.01 and abs(z.var() - 1.0) < 0.02
         # each block is its own scramble, not a repeat of the first
         blocks = z.reshape(20, 200, 6)
@@ -395,7 +414,7 @@ class TestSharedDraws:
 
     def test_scrambled_normals_need_whole_blocks(self):
         with pytest.raises(ValueError, match="multiple of 20"):
-            scrambled_normals(1010, 3, seed=0, n_batches=20)
+            scrambled_normals(1010, 3, seed=0)
 
     def test_gaussian_bump_mean_matches_quadrature(self):
         x, w = np.polynomial.hermite_e.hermegauss(80)
@@ -420,6 +439,23 @@ class TestExpansionIdentity:
         fd_gap = abs(rep.remainder_ibp[0] - rep.remainder_fd[0])
         assert fd_gap < 4.0 * math.hypot(rep.remainder_ibp[1],
                                          rep.remainder_fd[1])
+
+    def test_first_step_shares_the_reference_measure(self):
+        # the coupled end of first_step_residual is the reference kernel, so its
+        # self-normalised direct value is the reweighted expectation of A on
+        # FFT draws, and dividing by a separate Z pass gives the same residual
+        inst = make_instance(b_m=0.3)
+        resid, dresid, direct, ddirect = inst.first_step_residual(100_000, seed=23)
+        (pt, power), = inst.monomials.items()
+        ref = reweight_expectation(inst.ensemble,
+                                   lambda phi: phi.reshape(len(phi), -1)[:, pt] ** power,
+                                   100_000, seed=24)
+        assert abs(direct - ref.mean) <= 4.0 * math.hypot(ddirect, ref.stderr), (direct, ref)
+        sep, dsep = separate_pass_first_step(inst, 100_000, seed=25)
+        assert abs(resid - sep) <= 4.0 * math.hypot(dresid, dsep), (resid, dresid, sep, dsep)
+        # both comparisons resolve the values they compare
+        assert math.hypot(ddirect, ref.stderr) <= 0.01 * direct
+        assert math.hypot(dresid, dsep) <= 0.2 * abs(resid)
 
     def test_truncated_expansion_residuals_shrink(self):
         inst = make_instance(dims=(2,), b_m=0.2, delta_m=2.0, a=0.5, J=0.5)
