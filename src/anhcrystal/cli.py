@@ -226,13 +226,11 @@ def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
         inst = ClusterInstance(ensemble=ens, mode=mode, monomials=monomials)
         if check == "newton-leibniz":
             rep = newton_leibniz_report(inst, cfg["samples"], cfg["seed"])
-            split = rep.split_total()
             payload = {
                 "direct": rep.direct, "term_one": rep.term_one,
-                "remainder_ibp": rep.remainder_ibp, "remainder_fd": rep.remainder_fd,
-                "split_total": split,
-                "sigma_gap": abs(rep.direct[0] - split[0]) /
-                             math.hypot(rep.direct[1], split[1]),
+                "remainder": rep.remainder, "remainder_ibp": rep.remainder_ibp,
+                "sigma_gap": abs(rep.remainder[0] - rep.remainder_ibp[0]) /
+                             math.hypot(rep.remainder[1], rep.remainder_ibp[1]),
             }
             payload["ok"] = payload["sigma_gap"] < 4.0
         else:

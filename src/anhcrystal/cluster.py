@@ -45,14 +45,12 @@ from scipy.stats import qmc
 from .covariance import p_matrix
 from .grid import FieldGrid
 from .lattice import RodMode, RodPartition, rod_partition
-from .sampler import (CHUNK_VALUES, N_BATCHES, Ensemble, accumulate, jackknife,
-                      jackknife_replicates, replicate_stderr)
+from .sampler import CHUNK_VALUES, Ensemble, accumulate, jackknife
 
 MAX_TREE_ORDER = 8
 MAX_BF_ORDER = 7
 ORDER_CAP = {RodMode.LOW_TEMPERATURE: 3, RodMode.HIGH_TEMPERATURE: 4}
 GL_NODES = 8
-FD_STEP = 1e-3     # step of the finite-difference remainder in newton_leibniz_report
 RQMC_BATCHES = 20
 _LETTERS = "abcdefgh"  # einsum subscripts of line ends; "n" is the batch axis
 
@@ -422,8 +420,8 @@ def _axis_subsets(n_axes: int, max_size: int):
 # -- the expansion instance --------------------------------------------------------
 
 
-def gauss_legendre_unit(n_nodes: int = GL_NODES):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+def gauss_legendre_unit():
+    x, w = np.polynomial.legendre.leggauss(GL_NODES)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
@@ -485,11 +483,6 @@ def gaussian_bump_mean(mean, var, delta_m: float):
 def _normals(dim: int):
     """Draw function for ``accumulate``: n rows of ``dim`` standard normals."""
     return lambda rng, n: rng.standard_normal((n, dim))
-
-
-def _column_means(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means of the sum columns 1.. per count column 0, with jackknife errors."""
-    return jackknife(sums, lambda c: c[1:] / c[0])
 
 
 @dataclass
@@ -559,6 +552,11 @@ class ClusterInstance:
     @cached_property
     def xprime(self) -> PolyExp:
         return PolyExp.gibbs_prime(self.gibbs_weight_coeff, self.ensemble.delta_m)
+
+    @cached_property
+    def first_step_blocks(self) -> list[np.ndarray]:
+        """[X_1, rest of the box]: the two blocks the first interpolation step cuts apart."""
+        return [self.x1_points, np.concatenate([self.rod_points[r] for r in self.free_rod_ids])]
 
     def blocks_for(self, yseq) -> list[np.ndarray]:
         return [self.x1_points] + [self.rod_points[r] for r in yseq]
@@ -692,12 +690,12 @@ class ClusterInstance:
         def columns(z):
             return len(z), self.weighted_observable(z @ chol.T)[0].sum()
 
-        (k,), (dk,) = _column_means(accumulate(_normals(len(pts)), columns, n_samples, seed))
+        k, dk = jackknife(accumulate(_normals(len(pts)), columns, n_samples, seed),
+                          lambda c: c[1] / c[0])
         return float(k), float(dk)
 
-    def i_term(self, tree: Tree, yseq, s, z: np.ndarray) -> np.ndarray:
-        """Per-sample integrand of I_n at interpolation point s (common draws z)."""
-        blocks = self.blocks_for(yseq)
+    def i_term(self, tree: Tree, blocks, s, z: np.ndarray) -> np.ndarray:
+        """Per-sample integrand of I_n on ``blocks`` (X_1 first) at s, on common draws z."""
         _, phi = self.sample_block(blocks, s, z)
         (k,), weight = self._contract([tree], blocks, phi)
         return k * weight
@@ -738,18 +736,14 @@ class ClusterInstance:
         sums = np.stack([np.full(RQMC_BATCHES, per.shape[1]), per.sum(axis=1)], axis=1)
         return float(values.mean()), float(jackknife(sums, lambda c: c[1] / c[0])[1])
 
-    def ratio_f(self, yseq, n_samples: int, seed: int) -> tuple[float, float]:
-        """Z(complement of X_n) / Z over common reference draws; >= 1 always."""
-        ratios, leave = self.ratio_table([tuple(yseq)], n_samples, seed)
-        return float(ratios[0]), float(replicate_stderr(leave[0]))
+    def ratio_table(self, yseqs, n_samples: int, seed: int) -> np.ndarray:
+        """Batch sums whose ratios F_j = Z(complement of X_n)/Z >= 1 belong to yseqs[j].
 
-    def ratio_table(self, yseqs, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """Z(complement)/Z for many rod sequences, plus jackknife replicates.
-
-        Row j of the replicates belongs to yseqs[j].  All ratios share one set
-        of reference draws, so the replicates carry their correlation: the
-        jackknife error of any combination of ratios is that of the same
-        combination of replicate rows.
+        Column 0 sums the weight exp(-V) of the whole box, column j + 1 the
+        weight of the complement of X_1 and yseqs[j], over one set of
+        reference draws.  F_j is column j + 1 over column 0, and since all
+        ratios share the draws, ``jackknife`` of any combination of them,
+        such as ``lambda c: k @ c[1:] / c[0]``, carries their correlation.
         """
         comps = []
         for yseq in yseqs:
@@ -765,9 +759,7 @@ class ClusterInstance:
                 self.gibbs_weight(flat, pts).sum() if pts is not None else float(len(flat))
                 for pts in comps]
 
-        sums = accumulate(self.ensemble.sampler.sample, columns, n_samples, seed)
-        ratios, leave = jackknife_replicates(sums, lambda c: c[1:] / c[0])
-        return ratios, leave.T
+        return accumulate(self.ensemble.sampler.sample, columns, n_samples, seed)
 
     def partition_weight(self, n_samples: int, seed: int) -> tuple[float, float]:
         """Z = E[exp(-V(T))] under the reference measure, with jackknife stderr."""
@@ -776,8 +768,8 @@ class ClusterInstance:
         def columns(phi):
             return len(phi), self.gibbs_weight(phi.reshape(len(phi), -1), all_pts).sum()
 
-        (z,), (dz,) = _column_means(
-            accumulate(self.ensemble.sampler.sample, columns, n_samples, seed))
+        z, dz = jackknife(accumulate(self.ensemble.sampler.sample, columns, n_samples, seed),
+                          lambda c: c[1] / c[0])
         return float(z), float(dz)
 
     def order_contribution(self, n: int, n_samples: int, seed: int) -> tuple[float, float]:
@@ -786,46 +778,43 @@ class ClusterInstance:
         The trees of a sequence share its rows (``cluster_term``), and each
         sequence has its own draws, so the sequences' K errors add in
         quadrature.  All F come from one set of reference draws, so their
-        error is the jackknife error of the K-weighted sum of F replicates.
+        error is the jackknife error of the K-weighted sum of F.  Order 1 is
+        the empty sequence: K is ``order_one`` and F is Z(X_1 complement)/Z.
         """
-        if n == 1:
-            k, dk = self.order_one(n_samples, seed)
-            f, df = self.ratio_f((), n_samples, seed + 1)
-            return k * f, math.hypot(f * dk, k * df)
         yseqs = list(itertools.permutations(self.free_rod_ids, n - 1))
-        ratios, leave = self.ratio_table(yseqs, n_samples, seed + 100_003)
+        sums = self.ratio_table(yseqs, n_samples, seed + 100_003)
         k, dk = np.array([self.cluster_term(yseq, n_samples, seed + 1013 * si)
                           for si, yseq in enumerate(yseqs)]).T
-        f_err = float(replicate_stderr(k @ leave))
-        return float(k @ ratios), math.hypot(float(np.linalg.norm(ratios * dk)), f_err)
+        value, f_err = jackknife(sums, lambda c: k @ c[1:] / c[0])
+        total = sums.sum(axis=0)
+        return float(value), math.hypot(float(np.linalg.norm(total[1:] / total[0] * dk)),
+                                        float(f_err))
 
-    def first_step_residual(self, n_samples: int,
-                            seed: int) -> tuple[float, float, float, float]:
+    def first_step_residual(self, n_samples: int, seed: int) -> tuple[float, ...]:
         """(E_coupled - E_decoupled)[A e^-V(T)] / Z over common draws.
 
-        The decoupled kernel cuts X_1 from its complement (the order-1 term
-        factorizes there), so this difference equals direct - (order-1 term)
-        with the shared-noise part cancelled sample by sample: the leading
-        Cholesky corner is the X_1 block for both kernels.  Rods tile the
-        box, so the coupled kernel is the reference kernel and the mean weight
-        of its draws is Z: both the residual and direct are self-normalised
-        ratios on the same draws, with jackknife errors.  Returns
-        (residual, stderr, direct, direct_stderr).
+        The decoupled (cut) kernel cuts X_1 from its complement, so its end
+        E_decoupled[A e^-V(T)] / Z is the order-1 term K_1 F_1, and the
+        difference equals direct - (order-1 term) with the shared-noise part
+        cancelled sample by sample: the leading Cholesky corner is the X_1
+        block for both kernels.  Rods tile the box, so the coupled kernel is
+        the reference kernel and the mean weight of its draws is Z: the
+        residual, direct and the cut end are self-normalised ratios on the
+        same draws, with jackknife errors.  Returns (residual, stderr,
+        direct, direct_stderr, term_one, term_one_stderr).
         """
-        comp_points = np.concatenate([self.rod_points[r] for r in self.free_rod_ids])
-        blocks = [self.x1_points, comp_points]
+        blocks = self.first_step_blocks
         coupled_root, cut_root = (np.linalg.cholesky(self.block_matrix(blocks, [s])[1])
                                   for s in (1.0, 0.0))
 
         def columns(z):
             coupled, weight = self.weighted_observable(z @ coupled_root.T)
             cut = self.weighted_observable(z @ cut_root.T)[0]
-            return (coupled - cut).sum(), coupled.sum(), weight.sum()
+            return (coupled - cut).sum(), coupled.sum(), cut.sum(), weight.sum()
 
-        n_pts = len(self.x1_points) + len(comp_points)
-        (resid, direct), (dresid, ddirect) = jackknife(
-            accumulate(_normals(n_pts), columns, n_samples, seed), lambda c: c[:2] / c[2])
-        return float(resid), float(dresid), float(direct), float(ddirect)
+        sums = accumulate(_normals(self.grid.n_points), columns, n_samples, seed)
+        values, errors = jackknife(sums, lambda c: c[:3] / c[3])
+        return tuple(float(x) for pair in zip(values, errors) for x in pair)
 
     def second_step_residual(self, n_samples: int, seed: int) -> tuple[float, float]:
         """direct - (order-1 + order-2 terms), telescoped pathwise on common draws.
@@ -894,7 +883,10 @@ def residual_decay_report(instance: ClusterInstance, n_max: int,
     """Telescoped residuals |direct - partial sum| with shared-draw cancellation.
 
     The order-1 residual R_1 is the coupled-minus-decoupled difference on
-    common draws (``first_step_residual``, ``first_step_samples`` draws).
+    common draws (``first_step_residual``, ``first_step_samples`` draws), and
+    the order-1 term is the decoupled end's own ratio on those draws, with
+    its own jackknife error (direct and R_1 share the draws, so their errors
+    are not independent).
     When a later order follows, the order-2 residual R_2 is telescoped
     pathwise as well (``second_step_residual``, ``order_samples[2]`` draws),
     and the order-2 contribution is reported as R_1 - R_2.  In both the
@@ -913,11 +905,12 @@ def residual_decay_report(instance: ClusterInstance, n_max: int,
     if isinstance(order_samples, int):
         order_samples = {n: order_samples for n in range(2, n_max + 1)}
     done = progress or (lambda n, sequences: None)
-    r1, dr1, direct, ddirect = instance.first_step_residual(first_step_samples, seed)
+    r1, dr1, direct, ddirect, term_one, dterm_one = instance.first_step_residual(
+        first_step_samples, seed)
     done(1, 1)
-    orders = [(direct - r1, math.hypot(dr1, ddirect))]
+    orders = [(term_one, dterm_one)]
     residuals = [(abs(r1), dr1)]
-    partial = [(direct - r1, math.hypot(ddirect, dr1))]
+    partial = [(term_one, dterm_one)]
     run, run_err = r1, dr1
     for n in range(2, n_max + 1):
         if n == 2 and n_max > 2:
@@ -935,42 +928,6 @@ def residual_decay_report(instance: ClusterInstance, n_max: int,
                            direct=(direct, ddirect), residuals=residuals)
 
 
-def _direct_estimate(instance: ClusterInstance, n_samples: int, seed: int):
-    """Reweighted estimate of the observable, averaged over rod translations."""
-    ens = instance.ensemble
-    grid = instance.grid
-    per_rod = grid.n_slices // instance.partition.rods_per_site
-    base_pairs = [grid.point_pair(t) for t in instance.monomials]
-    powers = list(instance.monomials.values())
-    lattice = ens.lattice
-    shifts = []
-    for site_shift in range(lattice.n_sites):
-        sc = np.asarray(lattice.site_coords(site_shift))
-        for rod_shift in range(instance.partition.rods_per_site):
-            shifted = []
-            for (si, sl), p in zip(base_pairs, powers):
-                coords = (np.asarray(lattice.site_coords(si)) + sc) % np.asarray(lattice.dims)
-                new_site = lattice.site_index(tuple(coords))
-                new_slice = (sl + rod_shift * per_rod) % grid.n_slices
-                shifted.append((grid.point(new_site, new_slice), p))
-            shifts.append(shifted)
-
-    def observable(phi):
-        flat = phi.reshape(phi.shape[0], -1)
-        acc = np.zeros(phi.shape[0])
-        for combo in shifts:
-            val = np.ones(phi.shape[0])
-            for t, p in combo:
-                val *= flat[:, t] ** p
-            acc += val
-        return acc / len(shifts)
-
-    from .sampler import reweight_expectation
-
-    res = reweight_expectation(ens, observable, n_samples, seed)
-    return res.mean, res.stderr
-
-
 # -- interpolation-identity diagnostics ---------------------------------------------
 
 
@@ -978,53 +935,37 @@ def _direct_estimate(instance: ClusterInstance, n_samples: int, seed: int):
 class SplitReport:
     direct: tuple
     term_one: tuple
-    remainder_ibp: tuple
-    remainder_fd: tuple
-
-    def split_total(self) -> tuple:
-        val = self.term_one[0] + self.remainder_ibp[0]
-        return val, math.hypot(self.term_one[1], self.remainder_ibp[1])
+    remainder: tuple       # R_1 = direct - term_one on common draws
+    remainder_ibp: tuple   # the s integral of the two-point operator term, own draws
 
 
 def newton_leibniz_report(instance: ClusterInstance, n_samples: int,
                           seed: int) -> SplitReport:
-    """First-step identity on a two-rod box, remainder computed two ways.
+    """First-step identity: direct = (order-1 term) + integral of d/ds E_s / Z.
 
-    direct = (block term) * Z(X_1^c)/Z + integral over s of the derivative
-    term, where the derivative term is evaluated (i) by the two-point
-    derivative operator under the interpolated Gaussian and (ii) by finite
-    differences of the interpolated expectation itself (common draws keep it
-    smooth in s).  The two rods fill the box, so the s = 1 end of the same
-    normals is the reference kernel: both remainders are ratios over its mean
-    weight Z, with one jackknife.
+    Cutting X_1 from the rest of the box with blocks [X_1, rest], the
+    derivative of the interpolated expectation is, by Gaussian integration
+    by parts, E_s[D_{X_1,rest} A e^-V(T)].  ``first_step_residual`` gives
+    direct, the order-1 term (the s = 0 end) and their difference R_1 on
+    common draws; the remainder is computed independently by the two-point
+    operator (``i_term``) at the Gauss-Legendre nodes on draws of its own
+    (seed + 5), self-normalised by the weight of the same normals at the
+    s = 1 end, which is the reference kernel.  The identity holds when R_1
+    and that remainder agree within their independent errors.
     """
-    if len(instance.free_rod_ids) != 1:
-        raise ValueError("the first-step identity check wants exactly two rods")
-    yseq = (instance.free_rod_ids[0],)
+    r1, dr1, direct, ddirect, term_one, dterm_one = instance.first_step_residual(
+        n_samples, seed)
     tree = Tree(parent=(1,))
-    blocks = instance.blocks_for(yseq)
-    all_pts = np.concatenate(blocks)
-
-    direct = _direct_estimate(instance, 4 * n_samples, seed + 1,)
-    k1, dk1 = instance.order_one(n_samples, seed + 2)
-    f1, df1 = instance.ratio_f((), n_samples, seed + 3)
-    term_one = (k1 * f1, math.hypot(f1 * dk1, k1 * df1))
-
-    rng = np.random.default_rng(seed + 5)
-    z = rng.standard_normal((n_samples, len(all_pts)))
+    blocks = instance.first_step_blocks
     nodes, weights = gauss_legendre_unit()
 
-    def end(s):
-        return instance.weighted_observable(instance.sample_block(blocks, np.array([s]), z)[1])
+    def columns(z):
+        ibp = sum(w * instance.i_term(tree, blocks, np.array([x]), z)
+                  for x, w in zip(nodes, weights))
+        coupled = instance.sample_block(blocks, np.array([1.0]), z)[1]
+        return ibp.sum(), instance.gibbs_weight(coupled, slice(None)).sum()
 
-    ibp_acc = np.zeros(n_samples)
-    fd_acc = np.zeros(n_samples)
-    for x, w in zip(nodes, weights):
-        ibp_acc += w * instance.i_term(tree, yseq, np.array([x]), z)
-        fd_acc += w * (end(x + FD_STEP)[0] - end(x - FD_STEP)[0]) / (2.0 * FD_STEP)
-    weight = end(1.0)[1]
-    sums = np.stack([ibp_acc, fd_acc, weight], axis=1).reshape(N_BATCHES, -1, 3).sum(axis=1)
-    (ibp, fd), (dibp, dfd) = jackknife(sums, lambda c: c[:2] / c[2])
-    return SplitReport(direct=direct, term_one=term_one,
-                       remainder_ibp=(float(ibp), float(dibp)),
-                       remainder_fd=(float(fd), float(dfd)))
+    sums = accumulate(_normals(instance.grid.n_points), columns, n_samples, seed + 5)
+    ibp, dibp = jackknife(sums, lambda c: c[0] / c[1])
+    return SplitReport(direct=(direct, ddirect), term_one=(term_one, dterm_one),
+                       remainder=(r1, dr1), remainder_ibp=(float(ibp), float(dibp)))

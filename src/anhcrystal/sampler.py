@@ -349,22 +349,16 @@ def accumulate(draw, columns, n_samples: int, seed: int) -> np.ndarray:
     return sums
 
 
-def jackknife_replicates(batch_sums: np.ndarray, statistic):
-    """statistic(column totals) and its delete-one-batch replicates (batch axis first)."""
-    total = batch_sums.sum(axis=0)
-    return statistic(total), np.stack([statistic(total - s) for s in batch_sums])
-
-
-def replicate_stderr(leave: np.ndarray):
-    """Jackknife standard error from delete-one-batch replicates."""
-    n = len(leave)
-    return np.sqrt((n - 1) / n * np.sum((leave - leave.mean(axis=0)) ** 2, axis=0))
-
-
 def jackknife(batch_sums: np.ndarray, statistic):
-    """statistic(column totals) and its delete-one-batch standard error."""
-    estimate, leave = jackknife_replicates(batch_sums, statistic)
-    return estimate, replicate_stderr(leave)
+    """statistic(column totals) and its delete-one-batch standard error.
+
+    Estimates on the same batches share their replicates, so a statistic that
+    combines them (a weighted sum of ratios) carries their correlation.
+    """
+    total = batch_sums.sum(axis=0)
+    leave = np.stack([statistic(total - s) for s in batch_sums])
+    spread = np.sum((leave - leave.mean(axis=0)) ** 2, axis=0)
+    return statistic(total), np.sqrt((len(leave) - 1) / len(leave) * spread)
 
 
 def _weighted_result(sums: np.ndarray, statistic, n_samples: int,

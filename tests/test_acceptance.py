@@ -163,15 +163,14 @@ def test_07_first_step_identity():
     inst = ClusterInstance(ensemble=ens, mode=RodMode.LOW_TEMPERATURE,
                            monomials={ens.grid.point(0, 4): 2})
     rep = newton_leibniz_report(inst, n_samples=200_000, seed=11)
-    split = rep.split_total()
-    gap = abs(rep.direct[0] - split[0])
-    sigma = math.hypot(rep.direct[1], split[1])
+    # direct - term one (R_1, common draws) against the integral of the
+    # integration-by-parts derivative term (independent draws)
+    (r1, dr1), (ibp, dibp) = rep.remainder, rep.remainder_ibp
+    gap, sigma = abs(r1 - ibp), math.hypot(dr1, dibp)
     assert gap <= 4.0 * sigma
-    fd_gap = abs(rep.remainder_ibp[0] - rep.remainder_fd[0])
-    fd_sigma = math.hypot(rep.remainder_ibp[1], rep.remainder_fd[1])
-    assert fd_gap <= 4.0 * fd_sigma
-    report(7, f"direct vs split {gap / sigma:.2f} sigma; derivative term two "
-              f"ways {fd_gap / fd_sigma:.2f} sigma")
+    assert sigma <= 0.1 * abs(r1)
+    report(7, f"direct {rep.direct[0]:.5f} = term one {rep.term_one[0]:.5f} + remainder "
+              f"{r1:.5f}; integration by parts gives {ibp:.5f}, {gap / sigma:.2f} sigma")
 
 
 def _expansion_instance(b_m: float):

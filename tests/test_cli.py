@@ -191,6 +191,17 @@ class TestClusterCommand:
         (hi, dhi), (lo, dlo) = residuals
         assert hi - lo >= 3.0 * math.hypot(dhi, dlo)
 
+    def test_newton_leibniz_check_runs_at_the_default_config(self, tmp_path):
+        # 8 sites x 32 slices: X_1 is one of 16 rods, cut from the other 15 at once
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "cluster", "--check", "newton-leibniz",
+                   "--samples", "5000"])
+        payload = json.loads((out / "cluster_newton_leibniz.json").read_text())
+        assert rc == 0 and payload["ok"], payload
+        assert {"direct", "term_one", "remainder", "remainder_ibp",
+                "sigma_gap"} <= payload.keys()
+        assert payload["sigma_gap"] < 4.0
+
 
 class TestVerifyCommand:
     def test_timings_on_stdout_and_byte_identical_results(self, tmp_path, capsys):

@@ -70,15 +70,15 @@ def quadrature_term(inst, yseq, n_samples, seed):
     standard error of the RQMC_BATCHES block means.
     """
     n = len(yseq) + 1
-    nodes, weights = gauss_legendre_unit(8)
-    n_pts = sum(len(b) for b in inst.blocks_for(yseq))
-    z = scrambled_normals(n_samples, n_pts, seed)
+    nodes, weights = gauss_legendre_unit()
+    blocks = inst.blocks_for(yseq)
+    z = scrambled_normals(n_samples, sum(len(b) for b in blocks), seed)
     acc = np.zeros(n_samples)
-    for combo in itertools.product(range(8), repeat=n - 1):
+    for combo in itertools.product(range(len(nodes)), repeat=n - 1):
         s = nodes[list(combo)]
         w = float(np.prod(weights[list(combo)]))
         for tree in enumerate_trees(n):
-            acc += w * f_factor(tree, s) * inst.i_term(tree, yseq, s, z)
+            acc += w * f_factor(tree, s) * inst.i_term(tree, blocks, s, z)
     means = acc.reshape(RQMC_BATCHES, -1).mean(axis=1)
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(RQMC_BATCHES))
 
@@ -382,13 +382,14 @@ class TestClusterTerms:
 
     def test_ratio_f_free_case(self):
         inst = make_instance(b_m=0.0)
-        ratio, err = inst.ratio_f((inst.free_rod_ids[0],), 2000, seed=2)
+        sums = inst.ratio_table([(inst.free_rod_ids[0],)], 2000, seed=2)
+        ratio, err = jackknife(sums, lambda c: c[1] / c[0])
         assert ratio == 1.0 and err == 0.0
 
     def test_ratio_f_bounds(self):
         inst = make_instance(b_m=0.5, dims=(2,), beta_hat=2.0)
-        yseq = (inst.free_rod_ids[0],)
-        ratio, err = inst.ratio_f(yseq, 20_000, seed=4)
+        sums = inst.ratio_table([(inst.free_rod_ids[0],)], 20_000, seed=4)
+        ratio, err = jackknife(sums, lambda c: c[1] / c[0])
         # removing two unit rods from the weight can raise it by at most
         # e^(b_m * time-volume of the removed region)
         removed = 2.0
@@ -433,19 +434,31 @@ class TestExpansionIdentity:
     def test_newton_leibniz_split(self):
         inst = make_instance(dims=(1,), n_slices=16, b_m=0.3, J=0.25)
         rep = newton_leibniz_report(inst, n_samples=60_000, seed=11)
-        split = rep.split_total()
-        gap = abs(rep.direct[0] - split[0])
-        assert gap < 4.0 * math.hypot(rep.direct[1], split[1])
-        fd_gap = abs(rep.remainder_ibp[0] - rep.remainder_fd[0])
-        assert fd_gap < 4.0 * math.hypot(rep.remainder_ibp[1],
-                                         rep.remainder_fd[1])
+        # R_1 = direct - term one on common draws, and the integration-by-parts
+        # remainder on draws of its own, agree and are resolved
+        (r1, dr1), (ibp, dibp) = rep.remainder, rep.remainder_ibp
+        sigma = math.hypot(dr1, dibp)
+        assert abs(r1 - ibp) <= 4.0 * sigma, rep
+        assert sigma <= 0.1 * abs(r1), rep
+        assert r1 == pytest.approx(rep.direct[0] - rep.term_one[0], rel=1e-12)
+
+    @pytest.mark.parametrize("dims", [(1,), (2,)], ids=["one-site", "two-site"])
+    def test_order_one_term_factorizes(self, dims):
+        # K_1 F_1 from order_contribution (block draws of X_1, reference draws
+        # for F) against the cut end of first_step_residual, E_0[A e^-V] / Z
+        inst = make_instance(dims=dims, n_slices=16 if dims == (1,) else 8, b_m=0.3)
+        value, err = inst.order_contribution(1, 200_000, seed=31)
+        cut, dcut = inst.first_step_residual(200_000, seed=32)[4:]
+        sigma = math.hypot(err, dcut)
+        assert abs(value - cut) <= 4.0 * sigma, (value, err, cut, dcut)
+        assert sigma <= 0.01 * abs(cut), (value, err, cut, dcut)
 
     def test_first_step_shares_the_reference_measure(self):
         # the coupled end of first_step_residual is the reference kernel, so its
         # self-normalised direct value is the reweighted expectation of A on
         # FFT draws, and dividing by a separate Z pass gives the same residual
         inst = make_instance(b_m=0.3)
-        resid, dresid, direct, ddirect = inst.first_step_residual(100_000, seed=23)
+        resid, dresid, direct, ddirect, _, _ = inst.first_step_residual(100_000, seed=23)
         (pt, power), = inst.monomials.items()
         ref = reweight_expectation(inst.ensemble,
                                    lambda phi: phi.reshape(len(phi), -1)[:, pt] ** power,
