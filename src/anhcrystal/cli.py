@@ -61,15 +61,21 @@ def _load_tempered_file(path: str, n_slices: int, d: int) -> dict:
     return xi
 
 
+def _bc_spec(cfg: dict) -> str:
+    """The box boundary of every subcommand: ``bc`` if given, else ``boundary``."""
+    spec = cfg.get("bc", cfg["boundary"])
+    if spec not in ("periodic", "zero", "dirichlet") and not spec.startswith("tempered:"):
+        raise ConfigError(f"unknown boundary condition {spec!r}")
+    return spec
+
+
 def _build_bc(cfg: dict, n_slices: int, d: int) -> BoundaryCondition:
-    spec = cfg.get("bc", cfg.get("boundary", "periodic"))
+    spec = _bc_spec(cfg)
     if spec == "periodic":
         return periodic_bc()
-    if spec in ("zero", "dirichlet"):
-        return zero_bc()
     if spec.startswith("tempered:"):
         return tempered_bc(_load_tempered_file(spec.split(":", 1)[1], n_slices, d))
-    raise ConfigError(f"unknown boundary condition {spec!r}")
+    return zero_bc()
 
 
 def _slice_count(cfg: dict, beta_hat: float) -> int:
@@ -123,7 +129,7 @@ def cmd_thresholds(cfg: dict, out_dir: Path) -> int:
 def cmd_covariance(cfg: dict, out_dir: Path, args) -> int:
     p = model_params(cfg)
     r = rescale(p)
-    boundary = Boundary.DIRICHLET if cfg["boundary"] == "dirichlet" else Boundary.PERIODIC
+    boundary = Boundary.PERIODIC if _bc_spec(cfg) == "periodic" else Boundary.DIRICHLET
     lat = Lattice(nu=p.nu, dims=p.dims, boundary=boundary)
     kern = CovarianceKernel(lat, p.a, p.J, r.beta_hat)
     n_max = cfg["matsubara_cutoff"]
@@ -236,7 +242,7 @@ def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
         else:
             start = time.perf_counter()
             rep = residual_decay_report(
-                inst, cfg.get("n_max", cfg["order"]), cfg["samples"], cfg["samples"],
+                inst, cfg["order"], cfg["samples"], cfg["samples"],
                 cfg["seed"], lambda n, k: print(f"cluster residuals: order {n} done, {k} rod "
                                                 f"sequences, {time.perf_counter() - start:.1f} s "
                                                 "elapsed", file=sys.stderr, flush=True))
@@ -386,8 +392,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 _CONFIG_OVERRIDE_KEYS = ("seed", "samples", "slices_per_unit", "backend",
-                         "observable", "bc", "mode", "order", "n_max", "nu",
-                         "boundary")
+                         "observable", "bc", "mode", "order", "nu", "boundary")
 
 
 def main(argv=None) -> int:
@@ -400,7 +405,7 @@ def main(argv=None) -> int:
                 overrides[key] = getattr(args, key)
         if getattr(args, "dims", None):
             overrides["dims"] = tuple(int(x) for x in args.dims.split(","))
-        if getattr(args, "n_max", None):
+        if getattr(args, "n_max", None) is not None:
             overrides["matsubara_cutoff"] = args.n_max
         cfg = load_config(args.config, overrides)
         out_dir = Path(args.out)

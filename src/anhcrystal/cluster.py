@@ -52,7 +52,7 @@ MAX_BF_ORDER = 7
 ORDER_CAP = {RodMode.LOW_TEMPERATURE: 3, RodMode.HIGH_TEMPERATURE: 4}
 GL_NODES = 8
 RQMC_BATCHES = 20
-_LETTERS = "abcdefgh"  # einsum subscripts of line ends; "n" is the batch axis
+_LETTERS = "abcdefgh"  # einsum subscripts of line ends and end groups; "n" is the batch axis
 
 
 # -- trees ---------------------------------------------------------------------
@@ -314,107 +314,47 @@ def evaluate_symbolic(terms: list[SymbolicTerm], phi_flat: np.ndarray,
 # -- block derivative tensors ------------------------------------------------------
 
 
-class _BlockTensor:
-    """Joint derivative values of one block over placements of its ends.
+def _coincidence_patterns(n_ends: int) -> list[tuple]:
+    """Every set partition of n_ends ends, finest first.
 
-    Entry [t_1, ..., t_k] is the product over the block's points of
-    q_{r_u}(phi_u), where r_u counts the ends placed at u and the ladder q at
-    an observable point includes its monomial; untouched observable points
-    contribute q_0 = phi^power.  Coinciding ends raise the derivative order
-    at their common point rather than multiplying first-order factors.
+    A partition is a tuple of group labels, one per end, numbered in order
+    of first appearance, so it has max(labels) + 1 groups.
     """
-
-    def __init__(self, q: list[np.ndarray], mono_pos: list[int]):
-        self.q = q                      # q[r]: (batch, m)
-        self.mono = mono_pos
-        self.batch, self.m = q[0].shape
-
-    def _bg(self, skip: tuple) -> np.ndarray:
-        out = np.ones(self.batch)
-        for p in self.mono:
-            if p not in skip:
-                out = out * self.q[0][:, p]
-        return out
-
-    def vector(self, r: int = 1) -> np.ndarray:
-        """One end: V[t] = q_r(t) * (monomial background excluding t)."""
-        v = self.q[r] * self._bg(())[:, None]
-        for p in self.mono:
-            v[:, p] = self.q[r][:, p] * self._bg((p,))
-        return v
-
-    def pair(self, ra: int, rb: int) -> np.ndarray:
-        """Two ends at distinct points: M[t, u] = q_ra(t) q_rb(u) * background.
-
-        Entries with t == u are later overwritten by a higher-order diagonal,
-        so their values here are irrelevant.
-        """
-        m = self.q[ra][:, :, None] * self.q[rb][:, None, :] * self._bg(())[:, None, None]
-        for p in self.mono:
-            m[:, p, :] = self.q[ra][:, p, None] * self.q[rb] * self._bg((p,))[:, None]
-            m[:, :, p] = self.q[ra] * self.q[rb][:, p, None] * self._bg((p,))[:, None]
-        for p in self.mono:
-            for p2 in self.mono:
-                if p2 != p:
-                    m[:, p, p2] = (self.q[ra][:, p] * self.q[rb][:, p2] *
-                                   self._bg((p, p2)))
-        return m
-
-    def tensor(self, n_ends: int) -> np.ndarray:
-        if n_ends == 0:
-            return self._bg(())
-        if n_ends == 1:
-            return self.vector(1)
-        if n_ends == 2:
-            t = self.pair(1, 1)
-            idx = np.arange(self.m)
-            t[:, idx, idx] = self.vector(2)
-            return t
-        if n_ends == 3:
-            return self._tensor3()
-        raise ValueError("blocks receive at most three ends at the supported orders")
-
-    def _tensor3(self) -> np.ndarray:
-        q1 = self.q[1]
-        idx = np.arange(self.m)
-        t = np.einsum("na,nb,nc->nabc", q1, q1, q1) * self._bg(())[:, None, None, None]
-        # distinct placements touching monomial points: rebuild those slabs
-        for axes in _axis_subsets(3, len(self.mono)):
-            for mono_assign in itertools.permutations(self.mono, len(axes)):
-                self._fix_distinct_slab(t, axes, mono_assign)
-        # coincidence planes, then the full diagonal; non-adjacent advanced
-        # indices move the broadcast axis to the front, hence the transpose
-        p21 = self.pair(2, 1)
-        t[:, idx, idx, :] = p21
-        t[:, idx, :, idx] = p21.transpose(1, 0, 2)
-        t[:, :, idx, idx] = self.pair(1, 2)
-        t[:, idx, idx, idx] = self.vector(3)
-        return t
-
-    def _fix_distinct_slab(self, t: np.ndarray, axes: tuple, mono_assign: tuple):
-        """Recompute entries where the given axes sit at the given mono points."""
-        q1 = self.q[1]
-        skip = tuple(mono_assign)
-        bg = self._bg(skip)
-        fixed = np.ones(self.batch)
-        for p in mono_assign:
-            fixed = fixed * q1[:, p]
-        free_axes = [ax for ax in range(3) if ax not in axes]
-        if len(free_axes) == 2:
-            block = np.einsum("na,nb->nab", q1, q1) * (fixed * bg)[:, None, None]
-        elif len(free_axes) == 1:
-            block = q1 * (fixed * bg)[:, None]
-        else:
-            block = fixed * bg
-        index: list = [slice(None)] * 3
-        for ax, p in zip(axes, mono_assign):
-            index[ax] = p
-        t[(slice(None),) + tuple(index)] = block
+    patterns = [()]
+    for _ in range(n_ends):
+        patterns = [p + (g,) for p in patterns for g in range(max(p, default=-1) + 2)]
+    return sorted(patterns, key=lambda p: -max(p, default=-1))
 
 
-def _axis_subsets(n_axes: int, max_size: int):
-    for size in range(1, min(n_axes, max_size) + 1):
-        yield from itertools.combinations(range(n_axes), size)
+def block_tensor(q: list[np.ndarray], mono_pos: list[int], n_ends: int) -> np.ndarray:
+    """Joint derivative values of one block over every placement of ``n_ends`` ends.
+
+    ``q[r]`` holds q_r at the block's points, shape (batch, m); at the
+    observable points ``mono_pos`` the ladder includes the monomial, and
+    elsewhere q_0 = 1.  Entry [t_1, ..., t_k] is the product over the
+    block's points of q_{r_u}(phi_u), where r_u counts the ends placed at u.
+    Each coincidence pattern (a set partition of the ends) fills the entries
+    whose ends coincide at least that much, through a diagonal view: the
+    outer product of q_{|group|} over its groups, times q_0 at each
+    observable point that no group touches (a mask, not a division, since
+    q_0 = phi^power may vanish).  Coarser patterns come later and overwrite
+    the entries they share, so each entry ends with its own pattern.  The
+    result has shape (batch, m, ..., m), a view of a batch-last array.
+    """
+    batch, m = q[0].shape
+    out = np.empty((m,) * n_ends + (batch,))   # batch last: long inner loops
+    for labels in _coincidence_patterns(n_ends):
+        groups = max(labels, default=-1) + 1
+        view = np.einsum("".join(_LETTERS[g] for g in labels) + "n->"
+                         + _LETTERS[:groups] + "n", out)
+        view[...] = 1.0
+        for g in range(groups):
+            view *= q[labels.count(g)].T.reshape((1,) * g + (m,) + (1,) * (groups - g - 1)
+                                                 + (batch,))
+        index = np.indices((m,) * groups)[..., None]
+        for p in mono_pos:
+            view *= np.where((index == p).any(axis=0), 1.0, q[0][:, p])
+    return np.moveaxis(out, -1, 0)
 
 
 # -- the expansion instance --------------------------------------------------------
@@ -612,8 +552,10 @@ class ClusterInstance:
             terms = delta_apply(terms, pa, pb, gmat, self.xprime, self.monomials)
         return terms
 
-    def _block_q(self, cache: _PowerCache, points: np.ndarray, max_r: int) -> _BlockTensor:
-        """Ladder values q_0..q_max_r at a block's points, from its field's power cache."""
+    def _block_q(self, cache: _PowerCache, points: np.ndarray,
+                 max_r: int) -> tuple[list[np.ndarray], list[int]]:
+        """Ladder values q_0..q_max_r at a block's points, from its field's power cache,
+        and the positions of the block's observable points."""
         plain = derivative_ladder(0, max_r, self.gibbs_weight_coeff,
                                   self.ensemble.delta_m)
         q = evaluate_ladder(plain, cache.y, cache)
@@ -630,7 +572,7 @@ class ClusterInstance:
             cols = evaluate_ladder(ladder, col.y, col)
             for r in range(max_r + 1):
                 q[r][:, i] = cols[r]
-        return _BlockTensor(q, mono_pos)
+        return q, mono_pos
 
     def contraction_value(self, tree: Tree, yseq,
                           phi_flat: np.ndarray) -> np.ndarray:
@@ -642,7 +584,13 @@ class ClusterInstance:
         """Per-sample chained-derivative values of each tree, and the blocks' Gibbs weight.
 
         The leading columns of ``phi`` hold the field at the points of the
-        blocks, in order.  Each block's ladders are evaluated once, to the
+        blocks, in order.  Every line of a tree puts one derivative end on
+        each of the two blocks it joins, and a block receiving k ends
+        contributes the tensor of ``block_tensor``: entry [t_1, ..., t_k] is
+        the product over its points u of q_{r_u}(phi_u), r_u the number of
+        ends at u, built one coincidence pattern of the ends at a time.
+        The tensors and the lines' covariance blocks are contracted in one
+        einsum per tree.  Each block's ladders are evaluated once, to the
         most ends any of the trees places there, and its derivative tensors
         are shared between trees.  The weight reuses the ladders' Gaussian
         factors and equals ``gibbs_weight`` on those points bit for bit.
@@ -660,24 +608,17 @@ class ClusterInstance:
         for tree_lines in lines:
             # einsum letters: the ends of line li are 2 li and 2 li + 1
             operands, subscripts = [], []
-            scalar = np.ones(q[0].batch)
             for bi in range(len(blocks)):
                 sub = "".join(_LETTERS[2 * li + side] for li, line in enumerate(tree_lines)
                               for side in (0, 1) if line[side] == bi)
                 if (bi, len(sub)) not in tensors:
-                    tensors[bi, len(sub)] = q[bi].tensor(len(sub))
-                if sub:
-                    operands.append(tensors[bi, len(sub)])
-                    subscripts.append("n" + sub)
-                else:
-                    scalar = scalar * tensors[bi, 0]
+                    tensors[bi, len(sub)] = block_tensor(*q[bi], len(sub))
+                operands.append(tensors[bi, len(sub)])
+                subscripts.append("n" + sub)
             for li, (pa, pb) in enumerate(tree_lines):
                 operands.append(self.full_matrix[np.ix_(blocks[pa], blocks[pb])])
                 subscripts.append(_LETTERS[2 * li:2 * li + 2])
-            if operands:
-                spec = ",".join(subscripts) + "->n"
-                scalar = scalar * np.einsum(spec, *operands, optimize=True)
-            out.append(scalar)
+            out.append(np.einsum(",".join(subscripts) + "->n", *operands, optimize=True))
         return out, self._bump_weight(np.concatenate([c.gaussian(1) for c in caches], axis=1))
 
     # -- Monte Carlo layers ---------------------------------------------------

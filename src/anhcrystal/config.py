@@ -17,7 +17,7 @@ from .params import ModelParams
 
 _FLOAT_KEYS = {"m", "a", "b", "delta", "J", "beta", "c"}
 _INT_KEYS = {"d", "nu", "slices_per_unit", "matsubara_cutoff", "samples", "seed",
-             "order", "n_max"}
+             "order"}
 _LIST_KEYS = {"h", "dims"}
 _STR_KEYS = {"backend", "mode", "boundary", "observable", "bc", "check"}
 

@@ -52,7 +52,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("nonsense = 3\n")
 
-    @pytest.mark.parametrize("key", ["threads", "rho", "rho_prop", "c_offset"])
+    @pytest.mark.parametrize("key", ["threads", "rho", "rho_prop", "c_offset", "n_max"])
     def test_removed_keys_are_unknown(self, key):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_config_text(f"{key} = 1\n")
@@ -150,6 +150,24 @@ class TestCovarianceCommand:
         assert abs(float(mats) - float(closed)) == pytest.approx(float(diff))
         assert float(diff) < 1e-3
 
+    def test_bc_key_sets_the_box_boundary(self, tmp_path):
+        # bc = zero and --boundary dirichlet name the same box; the periodic
+        # table differs, since only it has Matsubara sums to compare
+        tables = {}
+        for name, extra, flags in (("zero", {"bc": "zero"}, []),
+                                   ("dirichlet", {}, ["--boundary", "dirichlet"]),
+                                   ("periodic", {}, [])):
+            cfg = write_config(tmp_path, d=1, dims=(4,), **extra)
+            out = tmp_path / name
+            assert main(["--config", str(cfg), "--out", str(out), "covariance",
+                         "--n-max", "100", *flags]) == 0
+            tables[name] = (out / "covariance.csv").read_text()
+            manifest = json.loads((out / "covariance.manifest.json").read_text())["config"]
+            assert manifest["matsubara_cutoff"] == 100 and "n_max" not in manifest
+        assert tables["zero"] == tables["dirichlet"] != tables["periodic"]
+        for row in tables["zero"].strip().splitlines()[1:]:
+            assert float(row.split(",")[-1]) == 0.0
+
 
 class TestClusterCommand:
     def test_tree_check(self, tmp_path):
@@ -173,10 +191,10 @@ class TestClusterCommand:
         assert payload["orders"]["3"]["sum"] == "2"
 
     def test_residuals_check_is_error_aware(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, d=1, dims=(2,), n_max=2)
+        cfg = write_config(tmp_path, d=1, dims=(2,))
         out = tmp_path / "out"
         rc = main(["--config", str(cfg), "--out", str(out), "cluster",
-                   "--check", "residuals", "--samples", "10000"])
+                   "--check", "residuals", "--order", "2", "--samples", "10000"])
         payload = json.loads((out / "cluster_residuals.json").read_text())
         assert rc == 0 and payload["ok"]
         # one progress line per order on stderr: the empty sequence, then 3 rods

@@ -9,7 +9,7 @@ from scipy.stats import qmc
 
 from anhcrystal import cluster as cluster_module
 from anhcrystal.cluster import (RQMC_BATCHES, ClusterInstance, PolyExp, SymbolicTerm,
-                                Tree, battle_federbush_sum, delta_apply,
+                                Tree, battle_federbush_sum, block_tensor, delta_apply,
                                 derivative_ladder, enumerate_trees,
                                 evaluate_ladder, evaluate_symbolic, f_factor,
                                 gauss_legendre_unit, gaussian_bump_mean,
@@ -266,6 +266,24 @@ class TestDeltaApply:
         assert np.allclose(evaluate_symbolic(terms, phi, {}), 0.0)
 
 
+class TestBlockTensor:
+    @pytest.mark.parametrize("n_ends", [0, 1, 2, 3, 4])
+    def test_per_point_product_rule(self, n_ends):
+        # entry [t_1..t_k] = prod_u q_{r_u}(u), r_u the ends at u; the
+        # monomial at point 1 vanishes on the first field, so no division
+        rng = np.random.default_rng(n_ends)
+        m, mono = 4, [1, 3]
+        q = [rng.standard_normal((3, m)) for _ in range(n_ends + 1)]
+        q[0][:, [0, 2]] = 1.0
+        q[0][0, 1] = 0.0
+        tensor = block_tensor(q, mono, n_ends)
+        assert tensor.shape == (3,) + (m,) * n_ends
+        for ends in itertools.product(range(m), repeat=n_ends):
+            expected = np.prod([q[ends.count(u)][:, u] for u in range(m)], axis=0)
+            np.testing.assert_allclose(tensor[(slice(None),) + ends], expected,
+                                       rtol=1e-14, atol=0)
+
+
 class TestEvaluatorAgreement:
     @pytest.mark.parametrize("order", [2, 3])
     def test_low_temperature(self, order):
@@ -280,12 +298,17 @@ class TestEvaluatorAgreement:
                 scale = max(1e-12, float(np.max(np.abs(sym))))
                 assert float(np.max(np.abs(sym - fast))) / scale < 1e-12
 
-    def test_high_temperature_order_four(self):
+    # the star tree puts three ends on X_1's column, which holds one or two
+    # observable points: phi(0, tau_1)^2, then phi(0, tau_1)^2 phi(0, tau_3)
+    @pytest.mark.parametrize("monomials", [{1: 2}, {1: 2, 3: 1}],
+                             ids=["one-monomial", "two-monomials"])
+    def test_high_temperature_order_four(self, monomials):
         lat = Lattice(1, (4,))
         ens = Ensemble(lattice=lat, a=1.0, J=0.25, beta_hat=0.75, n_slices=4,
                        b_m=0.3, delta_m=1.0, d=1, bc=periodic_bc())
         inst = ClusterInstance(ensemble=ens, mode=RodMode.HIGH_TEMPERATURE,
-                               monomials={ens.grid.point(0, 1): 2})
+                               monomials={ens.grid.point(0, sl): power
+                                          for sl, power in monomials.items()})
         rng = np.random.default_rng(7)
         phi = rng.standard_normal((16, ens.grid.n_points))
         for yseq in itertools.permutations(inst.free_rod_ids, 3):
