@@ -62,11 +62,16 @@ def _load_tempered_file(path: str, n_slices: int, d: int) -> dict:
 
 
 def _bc_spec(cfg: dict) -> str:
-    """The box boundary of every subcommand: ``bc`` if given, else ``boundary``."""
-    spec = cfg.get("bc", cfg["boundary"])
+    """The box boundary of every subcommand, validated."""
+    spec = cfg["boundary"]
     if spec not in ("periodic", "zero", "dirichlet") and not spec.startswith("tempered:"):
         raise ConfigError(f"unknown boundary condition {spec!r}")
     return spec
+
+
+def _require_periodic(cfg: dict, what: str):
+    if _bc_spec(cfg) != "periodic":
+        raise ConfigError(f"{what} needs boundary = periodic, got {cfg['boundary']!r}")
 
 
 def _build_bc(cfg: dict, n_slices: int, d: int) -> BoundaryCondition:
@@ -83,15 +88,14 @@ def _slice_count(cfg: dict, beta_hat: float) -> int:
     return max(2, round(cfg["slices_per_unit"] * beta_hat))
 
 
-def build_ensemble(params: ModelParams, cfg: dict,
-                   bc: BoundaryCondition | None = None) -> Ensemble:
+def build_ensemble(params: ModelParams, cfg: dict) -> Ensemble:
     r = rescale(params)
     if math.isinf(r.beta_hat):
         raise ConfigError("sampling requires finite beta; covariance formulas "
                           "support beta = inf")
     n_slices = _slice_count(cfg, r.beta_hat)
-    bc = bc or _build_bc(cfg, n_slices, params.d)
-    lat = Lattice(nu=params.nu, dims=params.dims, boundary=bc.lattice_boundary())
+    bc = _build_bc(cfg, n_slices, params.d)
+    lat = Lattice(nu=params.nu, dims=params.dims, boundary=bc.boundary)
     return Ensemble(lattice=lat, a=params.a, J=params.J, beta_hat=r.beta_hat,
                     n_slices=n_slices, b_m=r.b_m, delta_m=r.delta_m, d=params.d,
                     h_hat=r.h_hat, bc=bc)
@@ -219,9 +223,10 @@ def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
         payload["ok"] = all(v["ok"] and v["no_factorial_ok"]
                             for v in payload["orders"].values())
     elif check in ("newton-leibniz", "residuals"):
+        _require_periodic(cfg, f"cluster --check {check}")
         p = model_params(cfg)
         mode = RodMode.HIGH_TEMPERATURE if cfg["mode"] == "highT" else RodMode.LOW_TEMPERATURE
-        ens = build_ensemble(p, cfg, bc=periodic_bc())
+        ens = build_ensemble(p, cfg)
         factors = parse_observable(cfg.get("observable") or "phi[0,0.5,0]*phi[0,0.5,0]")
         monomials: dict = {}
         for site, tau, comp in factors:
@@ -292,6 +297,7 @@ def cmd_uniqueness(cfg: dict, out_dir: Path, args) -> int:
 def cmd_order_param(cfg: dict, out_dir: Path, args) -> int:
     from .sampler import order_parameter
 
+    _require_periodic(cfg, "order-param")
     p = model_params(cfg)
     r = rescale(p)
     h_values = [float(h) for h in (args.h_values or "0.1,0.05,0").split(",")]
@@ -346,6 +352,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--seed", type=int, help="override the run seed")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    boundary_help = "periodic, zero, dirichlet or tempered:FILE"
 
     sub.add_parser("thresholds")
 
@@ -354,14 +361,14 @@ def make_parser() -> argparse.ArgumentParser:
     cov.add_argument("--tau-grid")
     cov.add_argument("--nu", type=int)
     cov.add_argument("--dims")
-    cov.add_argument("--boundary", choices=["periodic", "dirichlet"])
+    cov.add_argument("--boundary", help=boundary_help)
 
     smp = sub.add_parser("sample")
     smp.add_argument("--samples", type=int)
     smp.add_argument("--slices-per-unit", type=int, dest="slices_per_unit")
     smp.add_argument("--backend", choices=["reweight", "mcmc"])
     smp.add_argument("--observable")
-    smp.add_argument("--bc")
+    smp.add_argument("--boundary", help=boundary_help)
     smp.add_argument("--nu", type=int)
     smp.add_argument("--dims")
 
@@ -392,7 +399,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 _CONFIG_OVERRIDE_KEYS = ("seed", "samples", "slices_per_unit", "backend",
-                         "observable", "bc", "mode", "order", "nu", "boundary")
+                         "observable", "mode", "order", "nu", "boundary")
 
 
 def main(argv=None) -> int:

@@ -623,18 +623,6 @@ class ClusterInstance:
 
     # -- Monte Carlo layers ---------------------------------------------------
 
-    def order_one(self, n_samples: int, seed: int) -> tuple[float, float]:
-        """Block expectation of A exp(-V(X_1)) under the X_1-restricted kernel."""
-        pts, mat = self.block_matrix([self.x1_points], s=())
-        chol = np.linalg.cholesky(mat)
-
-        def columns(z):
-            return len(z), self.weighted_observable(z @ chol.T)[0].sum()
-
-        k, dk = jackknife(accumulate(_normals(len(pts)), columns, n_samples, seed),
-                          lambda c: c[1] / c[0])
-        return float(k), float(dk)
-
     def i_term(self, tree: Tree, blocks, s, z: np.ndarray) -> np.ndarray:
         """Per-sample integrand of I_n on ``blocks`` (X_1 first) at s, on common draws z."""
         _, phi = self.sample_block(blocks, s, z)
@@ -653,13 +641,13 @@ class ClusterInstance:
         weight f(eta; s); the Gibbs weight multiplies the tree sum once.  Rows
         go in chunks whose kernels hold at most CHUNK_VALUES values.  Trees
         share rows, so the error is the jackknife error of the per-row tree
-        sum over the scrambles.
+        sum over the scrambles.  The empty sequence is order 1: no s, the one
+        tree ``Tree(())`` with no lines and f = 1, so K is the block
+        expectation of A exp(-V(X_1)) under the X_1-restricted kernel.
         """
         n = len(yseq) + 1
         if n > ORDER_CAP[self.mode]:
             raise ValueError(f"order {n} beyond the supported cap for {self.mode.value}")
-        if n == 1:
-            return self.order_one(n_samples, seed)
         blocks = self.blocks_for(yseq)
         trees = enumerate_trees(n)
         n_pts = sum(len(b) for b in blocks)
@@ -720,7 +708,8 @@ class ClusterInstance:
         sequence has its own draws, so the sequences' K errors add in
         quadrature.  All F come from one set of reference draws, so their
         error is the jackknife error of the K-weighted sum of F.  Order 1 is
-        the empty sequence: K is ``order_one`` and F is Z(X_1 complement)/Z.
+        the empty sequence: K is ``cluster_term(())``, the block expectation
+        of A exp(-V(X_1)), and F is Z(X_1 complement)/Z.
         """
         yseqs = list(itertools.permutations(self.free_rod_ids, n - 1))
         sums = self.ratio_table(yseqs, n_samples, seed + 100_003)

@@ -19,7 +19,7 @@ _FLOAT_KEYS = {"m", "a", "b", "delta", "J", "beta", "c"}
 _INT_KEYS = {"d", "nu", "slices_per_unit", "matsubara_cutoff", "samples", "seed",
              "order"}
 _LIST_KEYS = {"h", "dims"}
-_STR_KEYS = {"backend", "mode", "boundary", "observable", "bc", "check"}
+_STR_KEYS = {"backend", "mode", "boundary", "observable"}
 
 DEFAULTS = {
     "m": 1.0, "a": 1.0, "b": 0.5, "delta": 1.0, "J": 0.25, "beta": 2.0,

@@ -134,8 +134,7 @@ def thermal_correlation(ham: GridHamiltonian, beta_hat: float, tau: float,
     return float(np.sum(weights * xa * xb.T))
 
 
-def convergence_check(ham: GridHamiltonian, beta_hat: float, taus,
-                      factor_extent: float = 1.25, factor_grid: int = 2) -> dict:
+def convergence_check(ham: GridHamiltonian, beta_hat: float, taus) -> dict:
     """Re-solve with (1.25 X, 2 G, 2 n_states) and report the largest shifts.
 
     Doubling the kept two-site states covers the basis cut as well as the
@@ -144,8 +143,7 @@ def convergence_check(ham: GridHamiltonian, beta_hat: float, taus,
     """
     finer = GridHamiltonian(
         n_sites=ham.n_sites, a=ham.a, J=ham.J, b_m=ham.b_m, delta_m=ham.delta_m,
-        extent=ham.extent * factor_extent, n_grid=ham.n_grid * factor_grid,
-        n_states=ham.n_states * factor_grid,
+        extent=ham.extent * 1.25, n_grid=ham.n_grid * 2, n_states=ham.n_states * 2,
     )
     drift_z = abs(thermal_trace(ham, beta_hat) - thermal_trace(finer, beta_hat))
     drift_c = max(

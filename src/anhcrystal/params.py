@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Boundary, Lattice, dispersion_grid
-
-INFINITE_BETA = math.inf
+from .lattice import Lattice, dispersion_grid
 
 
 @dataclass(frozen=True)
@@ -61,9 +59,6 @@ class ModelParams:
             raise ValueError("box side lengths N_mu must be even positive integers "
                              "(N_mu / 2 a positive integer)")
 
-    def lattice(self, boundary: Boundary = Boundary.PERIODIC) -> Lattice:
-        return Lattice(nu=self.nu, dims=self.dims, boundary=boundary)
-
 
 @dataclass(frozen=True)
 class RescaledParams:
@@ -92,13 +87,13 @@ def rescale(p: ModelParams) -> RescaledParams:
         raise ValueError("mass m must be positive")
     root_m = math.sqrt(p.m)
     alpha = p.m ** -0.25
-    eps = dispersion_grid(p.lattice(), p.a, p.J)
+    eps = dispersion_grid(Lattice(nu=p.nu, dims=p.dims), p.a, p.J)
     trace_b = float(np.sum(np.sqrt(eps)))
     return RescaledParams(
         alpha=alpha,
         b_m=p.b * root_m,
         delta_m=p.delta / root_m,
-        beta_hat=p.beta / root_m if not math.isinf(p.beta) else INFINITE_BETA,
+        beta_hat=p.beta / root_m,
         h_hat=tuple(alpha * x for x in p.h),
         C_m=0.5 * p.d * trace_b,
     )
@@ -112,7 +107,7 @@ def unrescale(r: RescaledParams) -> dict:
         "m": m,
         "b": r.b_m / root_m,
         "delta": r.delta_m * root_m,
-        "beta": r.beta_hat * root_m if not math.isinf(r.beta_hat) else INFINITE_BETA,
+        "beta": r.beta_hat * root_m,
         "h": tuple(x / r.alpha for x in r.h_hat),
     }
 

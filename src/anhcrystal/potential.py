@@ -30,15 +30,16 @@ def potential(q, b: float, delta: float) -> float:
     return float(b * math.exp(-0.5 * delta * float(np.dot(q.ravel(), q.ravel()))))
 
 
-def gaussian_representation_check(q, b: float, delta: float, n_nodes: int = 64):
+def gaussian_representation_check(q, b: float, delta: float):
     """Evaluate the Gaussian-integral form of the potential by quadrature.
 
     The identity b * E_alpha[ exp(i sqrt(delta) alpha . q) ] with alpha a
     standard Gaussian on R^d factorizes over components, so each axis is a
-    one-dimensional Gauss-Hermite quadrature.  Returns (lhs, rhs, |lhs-rhs|).
+    one-dimensional 64-node Gauss-Hermite quadrature.  Returns (lhs, rhs,
+    |lhs-rhs|).
     """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    nodes, weights = roots_hermite(n_nodes)
+    nodes, weights = roots_hermite(64)
     lhs = b
     for q_mu in q:
         # alpha = sqrt(2) t maps the e^{-t^2} weight onto the standard Gaussian
@@ -155,15 +156,14 @@ def auxiliary_potential(x, y, b_m: float, delta_m: float) -> float:
                         math.exp(-0.25 * delta_m * sq_minus)))
 
 
-def finite_difference_derivative(f, x, n: int, h: float, n_points: int | None = None):
+def finite_difference_derivative(f, x, n: int, h: float):
     """High-order central finite-difference n-th derivative of a callable.
 
-    Solves the small Vandermonde system for stencil weights; used as the
-    independent oracle against the analytic recursion.
+    The stencil has 2 ((n + 7) // 2) + 1 points, n + 7 or n + 8; solves the
+    small Vandermonde system for its weights.  Used as the independent oracle
+    against the analytic recursion.
     """
-    if n_points is None:
-        n_points = n + 7 if (n + 7) % 2 == 1 else n + 8
-    half = n_points // 2
+    half = (n + 7) // 2
     offsets = np.arange(-half, half + 1, dtype=float)
     v = np.vander(offsets, len(offsets), increasing=True).T
     rhs = np.zeros(len(offsets))

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property, partial
 
 import numpy as np
@@ -43,6 +42,7 @@ N_BATCHES = 50
 MAX_CHUNK = 16384
 CHUNK_VALUES = 1 << 18  # values in one chunk of pCN proposals or cluster-term kernels (2 MB)
 ESS_WARN_THRESHOLD = 100.0
+PCN_RHO = 0.9  # pCN mixing parameter rho in [0, 1)
 
 
 # -- results ------------------------------------------------------------------
@@ -60,37 +60,29 @@ class EstimatorResult:
 # -- boundary conditions -------------------------------------------------------
 
 
-class BoundaryKind(Enum):
-    PERIODIC = "periodic"
-    ZERO = "zero"
-    TEMPERED = "tempered"
-
-
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """Periodic, zero, or tempered (fixed outside trajectories) boundary.
+    """The box boundary and, for a tempered boundary, the outside trajectories.
 
-    For the tempered kind, ``xi`` maps outside-site coordinates to trajectory
-    arrays of shape (n_slices, d).
+    ``xi`` maps outside-site coordinates to trajectory arrays of shape
+    (n_slices, d); a boundary is tempered exactly when ``xi`` is given, and
+    a tempered or zero boundary is a Dirichlet box.
     """
 
-    kind: BoundaryKind
+    boundary: Boundary
     xi: dict | None = None
-
-    def lattice_boundary(self) -> Boundary:
-        return Boundary.PERIODIC if self.kind is BoundaryKind.PERIODIC else Boundary.DIRICHLET
 
 
 def periodic_bc() -> BoundaryCondition:
-    return BoundaryCondition(kind=BoundaryKind.PERIODIC)
+    return BoundaryCondition(Boundary.PERIODIC)
 
 
 def zero_bc() -> BoundaryCondition:
-    return BoundaryCondition(kind=BoundaryKind.ZERO)
+    return BoundaryCondition(Boundary.DIRICHLET)
 
 
 def tempered_bc(xi: dict) -> BoundaryCondition:
-    return BoundaryCondition(kind=BoundaryKind.TEMPERED, xi=dict(xi))
+    return BoundaryCondition(Boundary.DIRICHLET, dict(xi))
 
 
 # -- exact Gaussian sampling ---------------------------------------------------
@@ -201,8 +193,8 @@ class Ensemble:
     bc: BoundaryCondition = field(default_factory=periodic_bc)
 
     def __post_init__(self):
-        if self.bc.lattice_boundary() is not self.lattice.boundary:
-            raise ValueError("lattice boundary and boundary-condition kind disagree")
+        if self.bc.boundary is not self.lattice.boundary:
+            raise ValueError("lattice boundary and boundary condition disagree")
         if self.h_hat and len(self.h_hat) != self.d:
             raise ValueError("h_hat must have d components")
 
@@ -225,7 +217,7 @@ class Ensemble:
         c is (J/2) times the outside trajectories adjacent to each inside
         site, for a tempered boundary.
         """
-        tempered = self.bc.kind is BoundaryKind.TEMPERED
+        tempered = self.bc.xi is not None
         field = bool(self.h_hat) and any(x != 0.0 for x in self.h_hat)
         if not (tempered or field):
             return None
@@ -301,14 +293,10 @@ class Ensemble:
 
         return observable
 
-    def mean_displacement(self, direction=None):
-        """Observable: box average of the field along a unit direction."""
+    def mean_displacement(self):
+        """Observable: box average of the field's first component."""
         e = np.zeros(self.d)
-        if direction is None:
-            e[0] = 1.0
-        else:
-            e = np.asarray(direction, dtype=float)
-            e = e / np.linalg.norm(e)
+        e[0] = 1.0
 
         def observable(phi: np.ndarray) -> np.ndarray:
             proj = np.tensordot(phi, e, axes=([-1], [0]))
@@ -416,13 +404,13 @@ def integrated_autocorrelation_time(trace: np.ndarray) -> float:
 
 
 def pcn_expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
-                    rho_prop: float = 0.9, burn_in: int | None = None) -> EstimatorResult:
+                    burn_in: int | None = None) -> EstimatorResult:
     """Markov chain estimate with the covariance-preserving mixing proposal.
 
     Like importance sampling, the chain runs on the shifted reference N(m, C),
     with m = -C l the exact mean shift of the linear action terms.  The
-    proposal phi' = m + rho (phi - m) + sqrt(1 - rho^2) xi, with xi a fresh
-    reference draw, leaves N(m, C) invariant, and the Metropolis correction
+    proposal phi' = m + rho (phi - m) + sqrt(1 - rho^2) xi, with rho = PCN_RHO
+    and xi a fresh reference draw, leaves N(m, C) invariant, and the Metropolis correction
     acts on dt sum V(phi) alone: the action less its linear term.  The
     proposal offsets and the Metropolis uniforms do not depend on the chain's
     state, so they are drawn in chunks of at most CHUNK_VALUES field
@@ -430,14 +418,12 @@ def pcn_expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
     the action and accepts, and the observable is evaluated once per chunk on
     the chain's fields.  Error bars use the integrated autocorrelation time.
     """
-    if not (0.0 <= rho_prop < 1.0):
-        raise ValueError("mixing parameter must lie in [0, 1)")
     rng = np.random.default_rng(seed)
     if burn_in is None:
         burn_in = max(200, n_samples // 10)
-    mix = math.sqrt(1.0 - rho_prop ** 2)
+    mix = math.sqrt(1.0 - PCN_RHO ** 2)
     ell = ensemble.linear_term
-    centre = (1.0 - rho_prop) * ensemble.mean_shift
+    centre = (1.0 - PCN_RHO) * ensemble.mean_shift
 
     def relative_action(phi):  # dt sum V(phi) = S(phi) - l . phi
         s = float(ensemble.action(phi)[0])
@@ -455,7 +441,7 @@ def pcn_expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
         chain += centre
         log_u = np.log(rng.uniform(size=k))
         for i in range(k):
-            prop = rho_prop * phi + chain[i]
+            prop = PCN_RHO * phi + chain[i]
             s_prop = relative_action(prop)
             if log_u[i] < s - s_prop:
                 phi, s = prop, s_prop
@@ -472,12 +458,12 @@ def pcn_expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
 
 
 def expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
-                backend: str = "reweight", **kwargs) -> EstimatorResult:
+                backend: str = "reweight") -> EstimatorResult:
     """Gibbs expectation of a bounded-evaluation observable."""
     if backend == "reweight":
-        return reweight_expectation(ensemble, observable, n_samples, seed, **kwargs)
+        return reweight_expectation(ensemble, observable, n_samples, seed)
     if backend == "mcmc":
-        return pcn_expectation(ensemble, observable, n_samples, seed, **kwargs)
+        return pcn_expectation(ensemble, observable, n_samples, seed)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -556,9 +542,9 @@ def fit_exponential_decay(distances, values, errors=None):
     return float(coef[1]), float(coef[0]), logs - fit
 
 
-def clustering_fit(ensemble: Ensemble, max_dist: int, n_samples: int, seed: int,
-                   time_lag: int = 0) -> ClusteringFit:
-    """Fit the spatial decay rate of the connected two-point function.
+def clustering_fit(ensemble: Ensemble, max_dist: int, n_samples: int,
+                   seed: int) -> ClusteringFit:
+    """Fit the spatial decay rate of the equal-time connected two-point function.
 
     Refuses to fit whenever any correlation estimate along the fit range is
     within two standard errors of zero.  The reference rate is the fit of the
@@ -567,7 +553,7 @@ def clustering_fit(ensemble: Ensemble, max_dist: int, n_samples: int, seed: int,
     """
     if min(ensemble.lattice.dims) < 4 * max_dist:
         raise ValueError("need box side >= 4 * max_dist for a clean fit window")
-    k_grid, e_grid = two_point_table(ensemble, time_lag, n_samples, seed)
+    k_grid, e_grid = two_point_table(ensemble, 0, n_samples, seed)
     dists = np.arange(1, max_dist + 1)
     k = np.array([k_grid[(d,) + (0,) * (ensemble.lattice.nu - 1)] for d in dists])
     e = np.array([e_grid[(d,) + (0,) * (ensemble.lattice.nu - 1)] for d in dists])
@@ -575,9 +561,8 @@ def clustering_fit(ensemble: Ensemble, max_dist: int, n_samples: int, seed: int,
         raise RuntimeError("two-point estimates are consistent with zero; "
                            "cannot fit a decay rate")
     rate, intercept, residuals = fit_exponential_decay(dists, k, e)
-    tau = time_lag * ensemble.grid.delta_tau
     g = np.array([ensemble.kernel.closed((d,) + (0,) * (ensemble.lattice.nu - 1),
-                                         (0,) * ensemble.lattice.nu, tau)
+                                         (0,) * ensemble.lattice.nu, 0.0)
                   for d in dists])
     ref_rate, _, _ = fit_exponential_decay(dists, g)
     return ClusteringFit(rate=rate, intercept=intercept, residuals=residuals,
@@ -626,8 +611,8 @@ def boundary_mean_shift(ensemble: Ensemble) -> np.ndarray:
 
 
 def gap_estimate(ens_xi: Ensemble, ens_eta: Ensemble, site, tau: float,
-                 n_samples: int, seed: int, component: int = 0):
-    """Difference of <phi_site(tau)> under two boundary conditions.
+                 n_samples: int, seed: int):
+    """Difference of <phi_site(tau)>'s first component under two boundary conditions.
 
     Both expectations are computed on common reference draws after exactly
     absorbing the linear terms into a Gaussian mean shift, so the harmonic
@@ -638,12 +623,12 @@ def gap_estimate(ens_xi: Ensemble, ens_eta: Ensemble, site, tau: float,
     shift_xi, shift_eta = ens_xi.mean_shift, ens_eta.mean_shift
     flat_xi = shift_xi.reshape(ens_xi.lattice.n_sites, ens_xi.n_slices, ens_xi.d)
     flat_eta = shift_eta.reshape(*flat_xi.shape)
-    exact = float(flat_xi[si, sl, component] - flat_eta[si, sl, component])
+    exact = float(flat_xi[si, sl, 0] - flat_eta[si, sl, 0])
 
     def columns(psi):
         w_xi = ens_xi.weight(psi + shift_xi)
         w_eta = ens_eta.weight(psi + shift_eta)
-        phi0 = psi.reshape(len(psi), -1, ens_xi.n_slices, ens_xi.d)[:, si, sl, component]
+        phi0 = psi.reshape(len(psi), -1, ens_xi.n_slices, ens_xi.d)[:, si, sl, 0]
         return w_xi.sum(), (w_xi * phi0).sum(), w_eta.sum(), (w_eta * phi0).sum()
 
     sums = accumulate(ens_xi.sampler.sample, columns, n_samples, seed)
@@ -684,7 +669,7 @@ def doubled_measure_correlation(ensemble: Ensemble, p1, p2, y_field: np.ndarray,
     reference Gaussian keeps zero boundary values.  Estimates should not
     degrade as y grows.
     """
-    if ensemble.bc.kind is BoundaryKind.PERIODIC:
+    if ensemble.bc.boundary is Boundary.PERIODIC:
         raise ValueError("the auxiliary measure is defined over zero boundary values")
     obs = ensemble.phi_product([p1, p2])
     dt = ensemble.grid.delta_tau

@@ -1,11 +1,16 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from anhcrystal import config as config_module
 from anhcrystal.cli import main, parse_observable
 from anhcrystal.config import (ConfigError, load_config, parse_config_text,
                                write_manifest)
+
+PACKAGE = Path(config_module.__file__).parent
 
 
 BASE_CONFIG = """
@@ -52,10 +57,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("nonsense = 3\n")
 
-    @pytest.mark.parametrize("key", ["threads", "rho", "rho_prop", "c_offset", "n_max"])
+    @pytest.mark.parametrize("key", ["threads", "rho", "rho_prop", "c_offset", "n_max",
+                                     "bc", "check"])
     def test_removed_keys_are_unknown(self, key):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_config_text(f"{key} = 1\n")
+
+    def test_every_key_is_read(self):
+        # a key that parses but that no code reads is an option that does nothing
+        source = "".join((PACKAGE / name).read_text()
+                         for name in ("cli.py", "config.py", "verify.py"))
+        read = set(re.findall(r'cfg(?:\["|\.get\(")(\w+)', source))
+        keys = (config_module._FLOAT_KEYS | config_module._INT_KEYS
+                | config_module._LIST_KEYS | config_module._STR_KEYS)
+        assert keys - read == set()
 
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
@@ -151,12 +166,15 @@ class TestCovarianceCommand:
         assert float(diff) < 1e-3
 
     def test_bc_key_sets_the_box_boundary(self, tmp_path):
-        # bc = zero and --boundary dirichlet name the same box; the periodic
-        # table differs, since only it has Matsubara sums to compare
+        # boundary = zero and --boundary dirichlet name the same box, and the
+        # flag beats the file; the periodic table differs, since only it has
+        # Matsubara sums to compare
         tables = {}
-        for name, extra, flags in (("zero", {"bc": "zero"}, []),
-                                   ("dirichlet", {}, ["--boundary", "dirichlet"]),
-                                   ("periodic", {}, [])):
+        for name, extra, flags, boundary in (
+                ("zero", {"boundary": "zero"}, [], "zero"),
+                ("dirichlet", {}, ["--boundary", "dirichlet"], "dirichlet"),
+                ("flag", {"boundary": "periodic"}, ["--boundary", "dirichlet"], "dirichlet"),
+                ("periodic", {}, [], "periodic")):
             cfg = write_config(tmp_path, d=1, dims=(4,), **extra)
             out = tmp_path / name
             assert main(["--config", str(cfg), "--out", str(out), "covariance",
@@ -164,9 +182,16 @@ class TestCovarianceCommand:
             tables[name] = (out / "covariance.csv").read_text()
             manifest = json.loads((out / "covariance.manifest.json").read_text())["config"]
             assert manifest["matsubara_cutoff"] == 100 and "n_max" not in manifest
-        assert tables["zero"] == tables["dirichlet"] != tables["periodic"]
+            assert manifest["boundary"] == boundary
+        assert tables["zero"] == tables["dirichlet"] == tables["flag"] != tables["periodic"]
         for row in tables["zero"].strip().splitlines()[1:]:
             assert float(row.split(",")[-1]) == 0.0
+
+    def test_unknown_boundary_rejected(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path / "out"), "covariance", "--boundary", "open"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "open" in payload["error"]
 
 
 class TestClusterCommand:
@@ -219,6 +244,21 @@ class TestClusterCommand:
         assert {"direct", "term_one", "remainder", "remainder_ibp",
                 "sigma_gap"} <= payload.keys()
         assert payload["sigma_gap"] < 4.0
+
+
+class TestPeriodicOnlyCommands:
+    @pytest.mark.parametrize("argv", [["cluster", "--check", "newton-leibniz"],
+                                      ["cluster", "--check", "residuals"],
+                                      ["order-param"]],
+                             ids=["newton-leibniz", "residuals", "order-param"])
+    def test_periodic_only_commands_reject_other_boundaries(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, d=1, dims=(2,), boundary="zero")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "--out", str(out), *argv, "--samples", "1000"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "periodic" in payload["error"]
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
 
 
 class TestVerifyCommand:

@@ -359,7 +359,7 @@ class TestSymbolicMemo:
 class TestClusterTerms:
     def test_order_one_free_case(self):
         inst = make_instance(b_m=0.0)
-        val, err = inst.order_one(40_000, seed=3)
+        val, err = inst.cluster_term((), 40_000, seed=3)
         pt = next(iter(inst.monomials))
         site, sl = inst.grid.point_pair(pt)
         exact = inst.ensemble.kernel.closed((site,), (site,), 0.0)

@@ -274,7 +274,7 @@ class TestExpectation:
             obs = ens.phi_product([((0,), float(taus[0]), 0),
                                    ((0,), float(taus[1]), 0)])
             a = reweight_expectation(ens, obs, 40_000, seed=100 + trial)
-            b = pcn_expectation(ens, obs, 20_000, seed=200 + trial, rho_prop=0.8)
+            b = pcn_expectation(ens, obs, 20_000, seed=200 + trial)
             assert compatible(a, b, n_sigma=4.0), (trial, a, b)
 
     def test_translation_invariance(self):
