@@ -4,8 +4,9 @@ scans, and the one-shot verification suite.
 
 Every run validates its configuration, writes a manifest (config + version +
 seed) beside its results, and is deterministic: identical config and seed
-give byte-identical artifacts.  Errors exit nonzero with a machine-readable
-JSON message on stderr.
+give byte-identical artifacts.  A flag named after a configuration key
+overrides that key and is parsed as the file's value is.  Errors exit
+nonzero with a machine-readable JSON message on stderr.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import math
 import re
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, load_config, model_params, write_manifest
+from .config import (KEYS, ConfigError, load_config, model_params, parse_value,
+                     write_manifest)
 from .covariance import CovarianceKernel
 from .lattice import Boundary, Lattice, RodMode
 from .params import (ModelParams, beta_threshold, epsilon_of_m, field_threshold,
@@ -83,17 +86,12 @@ def _build_bc(cfg: dict, n_slices: int, d: int) -> BoundaryCondition:
     return zero_bc()
 
 
-def _slice_count(cfg: dict, beta_hat: float) -> int:
-    """Time slices of a box: slices_per_unit per unit of beta_hat, at least 2."""
-    return max(2, round(cfg["slices_per_unit"] * beta_hat))
-
-
 def build_ensemble(params: ModelParams, cfg: dict) -> Ensemble:
     r = rescale(params)
     if math.isinf(r.beta_hat):
         raise ConfigError("sampling requires finite beta; covariance formulas "
                           "support beta = inf")
-    n_slices = _slice_count(cfg, r.beta_hat)
+    n_slices = max(2, round(cfg["slices_per_unit"] * r.beta_hat))
     bc = _build_bc(cfg, n_slices, params.d)
     lat = Lattice(nu=params.nu, dims=params.dims, boundary=bc.boundary)
     return Ensemble(lattice=lat, a=params.a, J=params.J, beta_hat=r.beta_hat,
@@ -112,7 +110,7 @@ def _emit(out_dir: Path, name: str, payload: dict) -> Path:
 # -- subcommands -------------------------------------------------------------------
 
 
-def cmd_thresholds(cfg: dict, out_dir: Path) -> int:
+def cmd_thresholds(cfg: dict, out_dir: Path, args) -> int:
     p = model_params(cfg)
     c = cfg["c"]
     c_g = 1.0 / p.a  # box- and temperature-uniform value of the summed kernel
@@ -194,38 +192,20 @@ def cmd_oracle(cfg: dict, out_dir: Path, args) -> int:
 
 
 def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
-    from .cluster import (ClusterInstance, battle_federbush_sum, enumerate_trees,
-                          newton_leibniz_report, residual_decay_report)
+    from .cluster import (MAX_BF_ORDER, ClusterInstance, newton_leibniz_report,
+                          residual_decay_report)
+    from .verify import tree_order_facts
 
     check = args.check or "trees"
-    if check == "trees":
-        payload = {"orders": {}}
-        for n in range(2, 7):
-            trees = enumerate_trees(n)
-            payload["orders"][str(n)] = {
-                "count": len(trees),
-                "factorial": math.factorial(n - 1),
-                "incidence_sum_ok": all(sum(t.incidence_counts) == n - 1 for t in trees),
-            }
-        payload["ok"] = all(v["count"] == v["factorial"] and v["incidence_sum_ok"]
-                            for v in payload["orders"].values())
-    elif check == "bf":
-        payload = {"orders": {}}
-        for n in range(2, 8):
-            total = battle_federbush_sum(n)
-            loose = battle_federbush_sum(n, with_factorials=False)
-            payload["orders"][str(n)] = {
-                "sum": str(total), "bound": 4 ** n,
-                "ok": total <= 4 ** n,
-                "no_factorial_sum": str(loose),
-                "no_factorial_ok": float(loose) <= math.e ** n,
-            }
-        payload["ok"] = all(v["ok"] and v["no_factorial_ok"]
-                            for v in payload["orders"].values())
-    elif check in ("newton-leibniz", "residuals"):
+    if check in ("trees", "bf"):
+        # the same exact facts per order; bf reaches the tree sum's last order
+        last = 6 if check == "trees" else MAX_BF_ORDER
+        payload = {"orders": {str(n): tree_order_facts(n) for n in range(2, last + 1)}}
+        payload["ok"] = all(row["ok"] for row in payload["orders"].values())
+    else:
         _require_periodic(cfg, f"cluster --check {check}")
         p = model_params(cfg)
-        mode = RodMode.HIGH_TEMPERATURE if cfg["mode"] == "highT" else RodMode.LOW_TEMPERATURE
+        mode = RodMode(cfg["mode"])
         ens = build_ensemble(p, cfg)
         factors = parse_observable(cfg.get("observable") or "phi[0,0.5,0]*phi[0,0.5,0]")
         monomials: dict = {}
@@ -260,28 +240,29 @@ def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
                 "ok": all(hi - lo >= 3.0 * math.hypot(dhi, dlo)
                           for (hi, dhi), (lo, dlo) in zip(rep.residuals, rep.residuals[1:])),
             }
-    else:
-        raise ConfigError(f"unknown cluster check {check!r}")
     _emit(out_dir, f"cluster_{check.replace('-', '_')}.json", payload)
-    return 0 if payload.get("ok", True) else 1
+    return 0 if payload["ok"] else 1
 
 
 def cmd_uniqueness(cfg: dict, out_dir: Path, args) -> int:
     from .sampler import uniqueness_gap
 
     p = model_params(cfg)
-    r = rescale(p)
-    sizes = [int(s) for s in (args.sizes or "8,16").split(",")]
-    n_slices = _slice_count(cfg, r.beta_hat)
+    if p.nu != 1:
+        raise ConfigError(f"uniqueness tempers the two ends of a chain and needs nu = 1, "
+                          f"got nu = {p.nu}")
+    sizes = parse_value("dims", args.sizes or "8,16")
+    boxes = {n: replace(p, dims=(n,)) for n in sizes}  # an odd size fails before any run
+    zero_cfg = {**cfg, "boundary": "zero"}
 
     def make_pair(n):
-        lat = Lattice(nu=1, dims=(n,), boundary=Boundary.DIRICHLET)
-        xi = {(-1,): np.ones((n_slices, p.d)), (n,): np.ones((n_slices, p.d))}
-        eta = {(-1,): np.zeros((n_slices, p.d)), (n,): np.zeros((n_slices, p.d))}
-        common = dict(lattice=lat, a=p.a, J=p.J, beta_hat=r.beta_hat,
-                      n_slices=n_slices, b_m=r.b_m, delta_m=r.delta_m, d=p.d)
-        return (Ensemble(**common, bc=tempered_bc(xi)),
-                Ensemble(**common, bc=tempered_bc(eta)))
+        ens = build_ensemble(boxes[n], zero_cfg)
+
+        def ends_at(value):  # a chain's outside layer is its two ends
+            return tempered_bc({end: np.full((ens.n_slices, ens.d), value)
+                                for end in ((-1,), (n,))})
+
+        return replace(ens, bc=ends_at(1.0)), replace(ens, bc=ends_at(0.0))
 
     rows = uniqueness_gap(make_pair, lambda n: (n // 2,), tau=0.0,
                           lattice_sizes=sizes, n_samples=cfg["samples"],
@@ -299,33 +280,19 @@ def cmd_order_param(cfg: dict, out_dir: Path, args) -> int:
 
     _require_periodic(cfg, "order-param")
     p = model_params(cfg)
-    r = rescale(p)
-    h_values = [float(h) for h in (args.h_values or "0.1,0.05,0").split(",")]
-    sizes = [int(s) for s in (args.sizes or str(p.dims[0])).split(",")]
-    n_slices = _slice_count(cfg, r.beta_hat)
-
-    def make_ensemble(n, h):
-        lat = Lattice(nu=1, dims=(n,))
-        return Ensemble(lattice=lat, a=p.a, J=p.J, beta_hat=r.beta_hat,
-                        n_slices=n_slices, b_m=r.b_m, delta_m=r.delta_m,
-                        d=p.d, h_hat=tuple(r.alpha * h * e for e in _unit(p.d)),
-                        bc=periodic_bc())
-
-    rows = order_parameter(make_ensemble, r.alpha, h_values, sizes,
-                           cfg["samples"], cfg["seed"])
+    h_values = parse_value("h", args.h_values or "0.1,0.05,0")
+    sizes = parse_value("dims", args.sizes) if args.sizes else p.dims[:1]
+    boxes = {n: replace(p, dims=(n,) * p.nu) for n in sizes}  # an odd size fails before any run
+    rows = order_parameter(
+        lambda n, h: build_ensemble(replace(boxes[n], h=(h,) + (0.0,) * (p.d - 1)), cfg),
+        rescale(p).alpha, h_values, sizes, cfg["samples"], cfg["seed"])
     payload = {"rows": rows, "extrapolated": rows[-1]["sigma"],
                "extrapolated_stderr": rows[-1]["stderr"]}
     _emit(out_dir, "order_param.json", payload)
     return 0
 
 
-def _unit(d: int):
-    e = [0.0] * d
-    e[0] = 1.0
-    return e
-
-
-def cmd_verify(cfg: dict, out_dir: Path) -> int:
+def cmd_verify(cfg: dict, out_dir: Path, args) -> int:
     from .verify import run_verification
 
     results = run_verification(cfg)
@@ -350,34 +317,34 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--out", default="runs", help="output directory")
-    parser.add_argument("--seed", type=int, help="override the run seed")
+    parser.add_argument("--seed", help="override the run seed")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     boundary_help = "periodic, zero, dirichlet or tempered:FILE"
 
     sub.add_parser("thresholds")
 
     cov = sub.add_parser("covariance")
-    cov.add_argument("--n-max", type=int, dest="n_max")
+    cov.add_argument("--n-max", dest="matsubara_cutoff")
     cov.add_argument("--tau-grid")
-    cov.add_argument("--nu", type=int)
+    cov.add_argument("--nu")
     cov.add_argument("--dims")
     cov.add_argument("--boundary", help=boundary_help)
 
     smp = sub.add_parser("sample")
-    smp.add_argument("--samples", type=int)
-    smp.add_argument("--slices-per-unit", type=int, dest="slices_per_unit")
+    smp.add_argument("--samples")
+    smp.add_argument("--slices-per-unit", dest="slices_per_unit")
     smp.add_argument("--backend", choices=["reweight", "mcmc"])
     smp.add_argument("--observable")
     smp.add_argument("--boundary", help=boundary_help)
-    smp.add_argument("--nu", type=int)
+    smp.add_argument("--nu")
     smp.add_argument("--dims")
 
     clu = sub.add_parser("cluster")
-    clu.add_argument("--order", type=int)
+    clu.add_argument("--order")
     clu.add_argument("--mode", choices=["lowT", "highT"])
     clu.add_argument("--observable")
     clu.add_argument("--check", choices=["trees", "bf", "newton-leibniz", "residuals"])
-    clu.add_argument("--samples", type=int)
+    clu.add_argument("--samples")
 
     orc = sub.add_parser("oracle")
     orc.add_argument("--sites", type=int, choices=[1, 2], default=1)
@@ -387,54 +354,41 @@ def make_parser() -> argparse.ArgumentParser:
 
     uni = sub.add_parser("uniqueness")
     uni.add_argument("--sizes")
-    uni.add_argument("--samples", type=int)
+    uni.add_argument("--samples")
 
     opar = sub.add_parser("order-param")
     opar.add_argument("--h-values", dest="h_values")
     opar.add_argument("--sizes")
-    opar.add_argument("--samples", type=int)
+    opar.add_argument("--samples")
 
     sub.add_parser("verify")
     return parser
 
 
-_CONFIG_OVERRIDE_KEYS = ("seed", "samples", "slices_per_unit", "backend",
-                         "observable", "mode", "order", "nu", "boundary")
+COMMANDS = {
+    "thresholds": cmd_thresholds,
+    "covariance": cmd_covariance,
+    "sample": cmd_sample,
+    "cluster": cmd_cluster,
+    "oracle": cmd_oracle,
+    "uniqueness": cmd_uniqueness,
+    "order-param": cmd_order_param,
+    "verify": cmd_verify,
+}
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        overrides = {}
-        for key in _CONFIG_OVERRIDE_KEYS:
-            if hasattr(args, key) and getattr(args, key) is not None:
-                overrides[key] = getattr(args, key)
-        if getattr(args, "dims", None):
-            overrides["dims"] = tuple(int(x) for x in args.dims.split(","))
-        if getattr(args, "n_max", None) is not None:
-            overrides["matsubara_cutoff"] = args.n_max
+        # a flag whose dest is a configuration key overrides that key, parsed
+        # as the file's value would be
+        overrides = {key: parse_value(key, raw) for key, raw in vars(args).items()
+                     if key in KEYS and raw is not None}
         cfg = load_config(args.config, overrides)
         out_dir = Path(args.out)
         write_manifest(out_dir, args.subcommand, cfg, __version__)
-        if args.subcommand == "thresholds":
-            return cmd_thresholds(cfg, out_dir)
-        if args.subcommand == "covariance":
-            return cmd_covariance(cfg, out_dir, args)
-        if args.subcommand == "sample":
-            return cmd_sample(cfg, out_dir, args)
-        if args.subcommand == "cluster":
-            return cmd_cluster(cfg, out_dir, args)
-        if args.subcommand == "oracle":
-            return cmd_oracle(cfg, out_dir, args)
-        if args.subcommand == "uniqueness":
-            return cmd_uniqueness(cfg, out_dir, args)
-        if args.subcommand == "order-param":
-            return cmd_order_param(cfg, out_dir, args)
-        if args.subcommand == "verify":
-            return cmd_verify(cfg, out_dir)
-        raise ConfigError(f"unknown subcommand {args.subcommand!r}")
-    except (ConfigError, ValueError) as exc:
+        return COMMANDS[args.subcommand](cfg, out_dir, args)
+    except ValueError as exc:  # ConfigError included
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
 

@@ -20,6 +20,7 @@ _INT_KEYS = {"d", "nu", "slices_per_unit", "matsubara_cutoff", "samples", "seed"
              "order"}
 _LIST_KEYS = {"h", "dims"}
 _STR_KEYS = {"backend", "mode", "boundary", "observable"}
+KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
 
 DEFAULTS = {
     "m": 1.0, "a": 1.0, "b": 0.5, "delta": 1.0, "J": 0.25, "beta": 2.0,
@@ -34,18 +35,22 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_value(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """The value of ``key`` from its text, on a file line or in a flag alike."""
+    if key not in KEYS:
+        raise ConfigError(f"unknown configuration key {key!r}")
     raw = raw.strip()
-    if key in _LIST_KEYS:
-        parts = [p for p in raw.replace(",", " ").split() if p]
-        return tuple(float(p) if key == "h" else int(p) for p in parts)
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return math.inf if raw.lower() in ("inf", "infinity") else float(raw)
-    if key in _STR_KEYS:
-        return raw
-    raise ConfigError(f"unknown configuration key {key!r}")
+    try:
+        if key in _LIST_KEYS:
+            parts = raw.replace(",", " ").split()
+            return tuple(float(p) if key == "h" else int(p) for p in parts)
+        if key in _INT_KEYS:
+            return int(raw)
+        if key in _FLOAT_KEYS:
+            return float(raw)  # float reads "inf" and "infinity" in any case
+    except ValueError:
+        raise ConfigError(f"cannot parse {key} = {raw!r}") from None
+    return raw
 
 
 def parse_config_text(text: str) -> dict:
@@ -57,7 +62,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        out[key] = _parse_value(key, raw)
+        out[key] = parse_value(key, raw)
     return out
 
 

@@ -154,18 +154,29 @@ def check_derivative_recursion() -> tuple[bool, str]:
     return worst < 1e-5, f"max relative gap {worst:.2e}"
 
 
-def check_trees() -> tuple[bool, str]:
+def tree_order_facts(n: int) -> dict:
+    """Order n's exact tree facts: (n-1)! trees, each with incidence counts
+    summing to n-1, and a tree sum below 4^n with the d(k)! weights and
+    below e^n without them.  ``ok`` holds when all of them do."""
     from .cluster import battle_federbush_sum, enumerate_trees
 
-    for n in range(2, 7):
-        trees = enumerate_trees(n)
-        if len(trees) != math.factorial(n - 1):
-            return False, f"tree count at order {n}"
-        if any(sum(t.incidence_counts) != n - 1 for t in trees):
-            return False, f"incidence sum at order {n}"
-        if battle_federbush_sum(n) > 4 ** n:
-            return False, f"tree-sum bound at order {n}"
-    return True, "counts, incidences, and tree-sum bounds exact (n <= 6)"
+    trees = enumerate_trees(n)
+    total = battle_federbush_sum(n)
+    loose = battle_federbush_sum(n, with_factorials=False)
+    row = {"count": len(trees), "factorial": math.factorial(n - 1),
+           "incidence_sum_ok": all(sum(t.incidence_counts) == n - 1 for t in trees),
+           "sum": str(total), "bound": 4 ** n,
+           "no_factorial_sum": str(loose), "no_factorial_ok": float(loose) <= math.e ** n}
+    row["ok"] = (row["count"] == row["factorial"] and row["incidence_sum_ok"]
+                 and total <= 4 ** n and row["no_factorial_ok"])
+    return row
+
+
+def check_trees() -> tuple[bool, str]:
+    failed = [n for n in range(2, 7) if not tree_order_facts(n)["ok"]]
+    if failed:
+        return False, f"tree facts fail at orders {failed}"
+    return True, "counts, incidences and both tree-sum bounds exact (n <= 6)"
 
 
 def check_evaluators() -> tuple[bool, str]:

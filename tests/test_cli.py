@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from anhcrystal import config as config_module
+from anhcrystal import sampler
 from anhcrystal.cli import main, parse_observable
 from anhcrystal.config import (ConfigError, load_config, parse_config_text,
                                write_manifest)
@@ -150,6 +151,13 @@ class TestSampleCommand:
         m2 = json.loads((out2 / "sample.json").read_text())["mean"]
         assert m1 != m2
 
+    def test_flag_values_parse_like_file_values(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path / "out"), "sample", "--samples", "abc"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "samples" in payload["error"] and "abc" in payload["error"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestCovarianceCommand:
     def test_csv_written(self, tmp_path):
@@ -244,6 +252,93 @@ class TestClusterCommand:
         assert {"direct", "term_one", "remainder", "remainder_ibp",
                 "sigma_gap"} <= payload.keys()
         assert payload["sigma_gap"] < 4.0
+
+    def test_unknown_mode_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, d=1, dims=(2,), mode="hight")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "--out", str(out), "cluster",
+                   "--check", "newton-leibniz", "--samples", "1000"])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "hight" in payload["error"]
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+
+
+def _json_error(capsys) -> str:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+class TestScanCommands:
+    SMALL = ["--samples", "2000"]
+
+    def test_uniqueness_rows_rerun_and_field(self, tmp_path):
+        results = {}
+        for name, h in (("first", 0.0), ("second", 0.0), ("field", 0.3)):
+            cfg = write_config(tmp_path, d=1, h=(h,))
+            out = tmp_path / name
+            assert main(["--config", str(cfg), "--out", str(out), "uniqueness",
+                         "--sizes", "4,6", *self.SMALL]) == 0
+            results[name] = (out / "uniqueness.json").read_bytes()
+        assert results["first"] == results["second"]
+        rows = json.loads(results["first"])["rows"]
+        assert [row["n"] for row in rows] == [4, 6]
+        # the configured field is part of the measure whose uniqueness is scanned
+        assert results["field"] != results["first"]
+
+    def test_order_param_runs_n_by_n_boxes(self, tmp_path, monkeypatch):
+        boxes = []
+        scan = sampler.order_parameter
+
+        def recording_scan(make_ensemble, *rest):
+            def make(n, h):
+                ens = make_ensemble(n, h)
+                boxes.append((ens.lattice.dims, ens.h_hat))
+                return ens
+            return scan(make, *rest)
+
+        monkeypatch.setattr(sampler, "order_parameter", recording_scan)
+        cfg = write_config(tmp_path, d=2, nu=2, dims=(4, 4))
+        tables = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert main(["--config", str(cfg), "--out", str(out), "order-param",
+                         "--sizes", "2,4", "--h-values", "0.1,0", *self.SMALL]) == 0
+            tables.append((out / "order_param.json").read_bytes())
+        assert tables[0] == tables[1]
+        rows = json.loads(tables[0])["rows"]
+        assert [(row["n"], row["h"]) for row in rows] == [(2, 0.1), (2, 0.0),
+                                                          (4, 0.1), (4, 0.0)]
+        assert [dims for dims, _ in boxes[:4]] == [(2, 2), (2, 2), (4, 4), (4, 4)]
+        # the field points along the first displacement component
+        assert boxes[0][1][0] > 0.0 and boxes[0][1][1] == 0.0 and not any(boxes[1][1])
+
+    @pytest.mark.parametrize("command", ["uniqueness", "order-param"])
+    def test_infinite_beta_rejected(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, d=1, beta="inf")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "--out", str(out), command, *self.SMALL])
+        assert rc == 2
+        assert "finite beta" in _json_error(capsys)
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+
+    @pytest.mark.parametrize("command", ["uniqueness", "order-param"])
+    def test_odd_scan_size_rejected(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, d=1)
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "--out", str(out), command,
+                   "--sizes", "4,7", *self.SMALL])
+        assert rc == 2
+        assert "even" in _json_error(capsys)
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+
+    def test_uniqueness_needs_a_chain(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, d=1, nu=2, dims=(4, 4))
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "--out", str(out), "uniqueness",
+                   "--sizes", "4", *self.SMALL])
+        assert rc == 2
+        assert "nu = 1" in _json_error(capsys)
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
 
 
 class TestPeriodicOnlyCommands:
