@@ -8,9 +8,9 @@ rod-cluster expansion with its interpolation calculus, light-mass and
 high-temperature thresholds, and an exact-diagonalization oracle.
 """
 
-from .covariance import CovarianceKernel, InterpolatedCovariance, convex_decomposition
+from .covariance import CovarianceKernel, convex_decomposition
 from .grid import FieldGrid
-from .lattice import Boundary, Lattice, Rod, RodMode, dispersion, dual_modes, rod_partition
+from .lattice import Boundary, Lattice, Rod, RodMode, rod_partition
 from .params import (ModelParams, RescaledParams, beta_threshold, epsilon_of_m,
                      field_threshold, mass_threshold, rescale, unrescale)
 from .potential import auxiliary_potential, nth_derivative
@@ -20,10 +20,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Boundary", "BoundaryCondition", "CovarianceKernel", "Ensemble",
-    "EstimatorResult", "FieldGrid",
-    "InterpolatedCovariance", "Lattice", "ModelParams",
+    "EstimatorResult", "FieldGrid", "Lattice", "ModelParams",
     "RescaledParams", "Rod", "RodMode", "auxiliary_potential",
-    "beta_threshold", "convex_decomposition", "dispersion", "dual_modes",
-    "epsilon_of_m", "expectation", "field_threshold", "mass_threshold",
-    "nth_derivative", "rescale", "rod_partition", "unrescale",
+    "beta_threshold", "convex_decomposition", "epsilon_of_m", "expectation",
+    "field_threshold", "mass_threshold", "nth_derivative", "rescale",
+    "rod_partition", "unrescale",
 ]

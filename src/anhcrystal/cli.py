@@ -253,10 +253,9 @@ def cmd_uniqueness(cfg: dict, out_dir: Path, args) -> int:
                           f"got nu = {p.nu}")
     sizes = parse_value("dims", args.sizes or "8,16")
     boxes = {n: replace(p, dims=(n,)) for n in sizes}  # an odd size fails before any run
-    zero_cfg = {**cfg, "boundary": "zero"}
 
     def make_pair(n):
-        ens = build_ensemble(boxes[n], zero_cfg)
+        ens = build_ensemble(boxes[n], cfg)  # a zero-boundary chain (FIXED_KEYS)
 
         def ends_at(value):  # a chain's outside layer is its two ends
             return tempered_bc({end: np.full((ens.n_slices, ens.d), value)
@@ -310,8 +309,15 @@ def cmd_verify(cfg: dict, out_dir: Path, args) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors take ``main``'s JSON error path."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anhcrystal",
         description="Euclidean Gibbs measure toolkit for a quantum anharmonic crystal",
     )
@@ -377,14 +383,19 @@ COMMANDS = {
 }
 
 
+# keys a command sets whatever the configuration says, so that its manifest
+# records the box it ran: uniqueness tempers the two ends of zero-boundary chains
+FIXED_KEYS = {"uniqueness": {"boundary": "zero"}}
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         # a flag whose dest is a configuration key overrides that key, parsed
         # as the file's value would be
         overrides = {key: parse_value(key, raw) for key, raw in vars(args).items()
                      if key in KEYS and raw is not None}
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, {**overrides, **FIXED_KEYS.get(args.subcommand, {})})
         out_dir = Path(args.out)
         write_manifest(out_dir, args.subcommand, cfg, __version__)
         return COMMANDS[args.subcommand](cfg, out_dir, args)

@@ -2,31 +2,34 @@
 
 The reference Gaussian process on site j, imaginary time tau has covariance
 
-    G(j, k; tau) = (1/|L|) sum_modes  e^{i (j-k) . k_mode}  T(eps(k_mode), tau)
+    G(j, k; tau) = sum_modes  W(mode; j, k)  T(eps(mode), tau),
 
-with the periodic temporal factor
+one sum over the box's spatial modes of a spatial weight times the periodic
+temporal factor
 
     T(eps, tau) = [e^{-|tau| sqrt(eps)} + e^{-(beta_hat - |tau|) sqrt(eps)}]
                   / (2 sqrt(eps) (1 - e^{-beta_hat sqrt(eps)})),
 
 equivalently the Matsubara sum (1/beta_hat) sum_n cos(2 pi n tau / beta_hat) /
-((2 pi n / beta_hat)^2 + eps).  Dirichlet boxes replace the plane waves by the
-orthonormal sine modes of the clamped discrete Laplacian, with the same
-temporal factor.  beta_hat = inf uses the limit e^{-|tau| sqrt(eps)} /
-(2 sqrt(eps)).
+((2 pi n / beta_hat)^2 + eps).  beta_hat = inf uses the limit
+e^{-|tau| sqrt(eps)} / (2 sqrt(eps)).  The spatial weight is a product over
+axes of one table W_mu[p, j, k] (``CovarianceKernel.mode_weights``): plane
+waves on periodic axes, the orthonormal sine modes of the clamped discrete
+Laplacian on Dirichlet axes.  The closed form, the Matsubara sum and the dense
+grid matrices all read that table.
 
 Interpolated covariances weaken the coupling between rod blocks with
 parameters s in [0, 1]: points in blocks l < m are multiplied by
-s_l s_{l+1} ... s_{m-1}.  Such a kernel is a convex combination of
-block-diagonal restrictions of the original kernel and therefore positive
-semidefinite for free.
+s_l s_{l+1} ... s_{m-1}, so the interpolated kernel is
+``base * p_matrix(labels, s)``.  Such a kernel is a convex combination of
+block-diagonal restrictions of the original kernel
+(``convex_decomposition``) and therefore positive semidefinite for free.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +37,7 @@ import numpy as np
 from .lattice import Boundary, Lattice, dispersion_grid
 
 SPECTRUM_TOLERANCE = 1e-10
+MAX_DECOMPOSITION_BLOCKS = 12  # convex_decomposition enumerates 2^n terms
 
 
 def temporal_factor(eps, tau, beta_hat):
@@ -89,33 +93,32 @@ class CovarianceKernel:
         """Mode energies, shape ``dims`` (FFT order periodic, sine order Dirichlet)."""
         return dispersion_grid(self.lattice, self.a, self.J)
 
-    @cached_property
-    def _sine_basis(self) -> list[np.ndarray]:
-        """Per-axis orthonormal sine eigenvectors v[p, j] of the clamped Laplacian."""
-        basis = []
-        for n in self.lattice.dims:
-            p = np.arange(1, n + 1)[:, None]
-            j = np.arange(n)[None, :]
-            basis.append(math.sqrt(2.0 / (n + 1)) * np.sin(math.pi * p * (j + 1) / (n + 1)))
-        return basis
+    def mode_weights(self, mu: int, j, k) -> np.ndarray:
+        """The spatial mode table of axis mu, W_mu[p, j, k], modes first.
+
+        Modes are ordered as ``eps_grid``; j and k broadcast.  Periodic axes
+        hold cos(2 pi p (j - k) / n) / n: the sine parts of the plane waves
+        cancel in every mode sum because eps is even in each k_mu.  Dirichlet
+        axes hold v[p, j] v[p, k] with v the orthonormal sine modes of the
+        clamped Laplacian.  Entries are computed on demand, so ``closed`` costs
+        O(n) per axis and only ``grid_matrix`` holds a whole n^3 table.
+        """
+        n = self.lattice.dims[mu]
+        j, k = np.asarray(j), np.asarray(k)
+        p = np.arange(n).reshape((n,) + (1,) * max(j.ndim, k.ndim))
+        if self.boundary is Boundary.PERIODIC:
+            return np.cos(2.0 * math.pi * p / n * (j - k)) / n
+
+        def v(x):  # sine mode p at coordinate x
+            return math.sqrt(2.0 / (n + 1)) * np.sin(math.pi * (p + 1) * (x + 1) / (n + 1))
+
+        return v(j) * v(k)
 
     def _site_weights(self, j, k) -> np.ndarray:
-        """Weight of each spatial mode for the pair of sites (j, k)."""
-        j = tuple(np.atleast_1d(j))
-        k = tuple(np.atleast_1d(k))
-        if self.boundary is Boundary.PERIODIC:
-            axes = []
-            for mu, n in enumerate(self.lattice.dims):
-                kvals = 2.0 * math.pi * np.arange(n) / n
-                axes.append(np.cos(kvals * (j[mu] - k[mu])) +
-                            1j * np.sin(kvals * (j[mu] - k[mu])))
-            w = axes[0]
-            for ax in axes[1:]:
-                w = np.multiply.outer(w, ax)
-            return w.real / self.lattice.n_sites
+        """Weight of each spatial mode for the pair of sites (j, k), shape ``dims``."""
         w = np.ones(())
-        for mu, v in enumerate(self._sine_basis):
-            w = np.multiply.outer(w, v[:, j[mu]] * v[:, k[mu]])
+        for mu, (j_mu, k_mu) in enumerate(zip(np.atleast_1d(j), np.atleast_1d(k))):
+            w = np.multiply.outer(w, self.mode_weights(mu, j_mu, k_mu))
         return w
 
     def closed(self, j, k, tau) -> float:
@@ -166,13 +169,10 @@ class CovarianceKernel:
 
     # -- grid restrictions ---------------------------------------------------
 
-    def _check_finite_time(self):
-        if math.isinf(self.beta_hat):
-            raise ValueError("grid restrictions require finite beta_hat")
-
     def temporal_table(self, n_slices: int) -> np.ndarray:
         """Temporal factor at grid lags, shape (*dims, n_slices)."""
-        self._check_finite_time()
+        if math.isinf(self.beta_hat):
+            raise ValueError("grid restrictions require finite beta_hat")
         dt = self.beta_hat / n_slices
         return temporal_factor(self.eps_grid[..., None], dt * np.arange(n_slices), self.beta_hat)
 
@@ -190,38 +190,24 @@ class CovarianceKernel:
             raise ValueError(f"grid spectrum has negative weight {lam.min():.3e}")
         return np.clip(lam, 0.0, None)
 
-    def displacement_table(self, n_slices: int) -> np.ndarray:
-        """G at grid lags: entry [dj..., ds] is Cov(phi(0, 0), phi(dj, ds*dt))."""
-        if self.boundary is not Boundary.PERIODIC:
-            raise ValueError("displacement tables need a periodic box")
-        table = self.temporal_table(n_slices)
-        axes = tuple(range(self.lattice.nu))
-        return np.fft.ifftn(table, axes=axes).real
-
     def grid_matrix(self, points, n_slices: int) -> np.ndarray:
-        """Dense covariance among grid points given as (site_index, slice) pairs."""
-        self._check_finite_time()
-        pts = list(points)
-        if self.boundary is Boundary.PERIODIC:
-            table = self.displacement_table(n_slices)
-            coords = np.array([self.lattice.site_coords(s) for s, _ in pts])
-            slices = np.array([sl for _, sl in pts])
-            dims = np.asarray(self.lattice.dims)
-            dc = (coords[:, None, :] - coords[None, :, :]) % dims
-            ds = (slices[:, None] - slices[None, :]) % n_slices
-            idx = tuple(dc[..., mu] for mu in range(self.lattice.nu)) + (ds,)
-            return table[idx]
-        # Dirichlet: mode sum over sine modes, circulant in time.
-        table = self.temporal_table(n_slices).reshape(self.lattice.n_sites, n_slices)
-        vmat = np.ones((1, 1))
-        for v in self._sine_basis:
-            vmat = np.kron(vmat, v)  # modes x sites, row-major on both
-        sites = np.array([s for s, _ in pts])
-        slices = np.array([sl for _, sl in pts])
-        ds = (slices[:, None] - slices[None, :]) % n_slices
-        weights = vmat[:, sites]  # (modes, n_pts)
-        out = np.einsum("mi,mj,mij->ij", weights, weights, table[:, ds])
-        return out
+        """Dense covariance among grid points given as (site_index, slice) pairs.
+
+        The mode sum runs once per (lag, site, site) triple; each entry is then
+        G[a, b] = table[(t_a - t_b) mod n_slices, s_a, s_b].
+        """
+        nu, n_sites = self.lattice.nu, self.lattice.n_sites
+        # einsum axes: modes 0..nu-1, sites j nu..2nu-1, sites k 2nu..3nu-1, lag 3nu
+        operands = [self.temporal_table(n_slices), [*range(nu), 3 * nu]]
+        for mu, n in enumerate(self.lattice.dims):
+            x = np.arange(n)
+            operands += [self.mode_weights(mu, x[:, None], x), [mu, nu + mu, 2 * nu + mu]]
+        table = np.einsum(*operands, [3 * nu, *range(nu, 3 * nu)], optimize=True)
+        table = table.reshape(n_slices, n_sites, n_sites)
+        sites, slices = np.asarray(list(points), dtype=int).T
+        lag = slices[:, None] - slices[None, :]
+        lag %= n_slices
+        return table[lag, sites[:, None], sites[None, :]]
 
 
 # -- interpolated kernels ----------------------------------------------------
@@ -238,43 +224,7 @@ def p_matrix(block_of: np.ndarray, s) -> np.ndarray:
     return table[..., block_of[:, None], block_of[None, :]]
 
 
-@dataclass(frozen=True)
-class InterpolatedCovariance:
-    """Base kernel restricted to a grid with inter-block couplings weakened.
-
-    ``blocks`` lists the point sets Y_1 .. Y_n; grid points in none of them
-    form the complement block Y_{n+1}.  ``s`` holds the n interpolation
-    parameters; s = (1, ..., 1) reproduces the base kernel.
-    """
-
-    kernel: CovarianceKernel
-    n_slices: int
-    points: tuple  # (site_index, slice) pairs, the evaluation grid
-    blocks: tuple  # tuple of tuples of point positions (indices into points)
-    s: tuple
-
-    def __post_init__(self):
-        if len(self.s) != len(self.blocks):
-            raise ValueError("need one interpolation parameter per named block")
-        if any(not (0.0 <= x <= 1.0) for x in self.s):
-            raise ValueError("interpolation parameters must lie in [0, 1]")
-
-    @cached_property
-    def block_of(self) -> np.ndarray:
-        lab = np.full(len(self.points), len(self.blocks), dtype=int)
-        for b, members in enumerate(self.blocks):
-            lab[list(members)] = b
-        return lab
-
-    @cached_property
-    def base_matrix(self) -> np.ndarray:
-        return self.kernel.grid_matrix(self.points, self.n_slices)
-
-    def matrix(self) -> np.ndarray:
-        return self.base_matrix * p_matrix(self.block_of, self.s)
-
-
-def convex_decomposition(ic: InterpolatedCovariance, max_blocks: int = 12):
+def convex_decomposition(s):
     """Write the interpolated kernel as a convex mix of block-diagonal kernels.
 
     Every choice sigma in {0,1}^n of "keep" (weight s_k) or "cut" (weight
@@ -285,11 +235,11 @@ def convex_decomposition(ic: InterpolatedCovariance, max_blocks: int = 12):
     Returns a list of (weight, partition) with partition a tuple of runs,
     each run a tuple of block labels (labels 0..n for the n+1 blocks).
     """
-    n = len(ic.s)
-    if n > max_blocks:
+    n = len(s)
+    if n > MAX_DECOMPOSITION_BLOCKS:
         raise ValueError(f"convex decomposition enumerates 2^n terms; n={n} too large")
     out = []
-    s = np.asarray(ic.s, dtype=float)
+    s = np.asarray(s, dtype=float)
     for sigma in itertools.product((0, 1), repeat=n):
         weight = float(np.prod(np.where(np.asarray(sigma) == 1, s, 1.0 - s)))
         runs = []
@@ -305,16 +255,13 @@ def convex_decomposition(ic: InterpolatedCovariance, max_blocks: int = 12):
     return out
 
 
-def decomposition_matrix(ic: InterpolatedCovariance, decomposition) -> np.ndarray:
-    """Reassemble sum_i lambda_i (block-diagonal kernel) for verification."""
-    base = ic.base_matrix
-    labels = ic.block_of
+def decomposition_matrix(base: np.ndarray, labels: np.ndarray, decomposition) -> np.ndarray:
+    """Reassemble sum_i lambda_i (block-diagonal restriction of base) for verification."""
     out = np.zeros_like(base)
     for weight, runs in decomposition:
         if weight == 0.0:
             continue
         for run in runs:
-            mask = np.isin(labels, run)
-            idx = np.where(mask)[0]
+            idx = np.where(np.isin(labels, run))[0]
             out[np.ix_(idx, idx)] += weight * base[np.ix_(idx, idx)]
     return out

@@ -1,4 +1,4 @@
-"""Periodic lattice boxes, the dual lattice, dispersion, and rod partitions.
+"""Lattice boxes, their harmonic mode energies, and rod partitions.
 
 Sites live on a nu-dimensional box with side lengths ``dims``; displacement
 trajectories attach a periodic imaginary-time circle of circumference
@@ -25,29 +25,6 @@ class Boundary(Enum):
 class RodMode(Enum):
     LOW_TEMPERATURE = "lowT"
     HIGH_TEMPERATURE = "highT"
-
-
-def dispersion(k, a: float, J: float) -> float:
-    """Harmonic mode energy a + 4 J sum_mu sin^2(k_mu / 2)."""
-    if a <= 0:
-        raise ValueError("one-site harmonic constant a must be positive")
-    if J < 0:
-        raise ValueError("coupling J must be nonnegative")
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    return float(a + 4.0 * J * np.sum(np.sin(k / 2.0) ** 2))
-
-
-@dataclass(frozen=True)
-class DualMode:
-    """One plane-wave mode of the harmonic lattice operator."""
-
-    n: tuple[int, ...]
-    k: tuple[float, ...]
-    eps: float
-
-    @property
-    def lam(self) -> float:
-        return math.sqrt(self.eps)
 
 
 @dataclass(frozen=True)
@@ -104,29 +81,10 @@ class Lattice:
         return pairs
 
 
-def dual_modes(lat: Lattice, a: float = 1.0, J: float = 0.0) -> list[DualMode]:
-    """Enumerate the dual lattice of a periodic box with dispersion attached.
-
-    The integer window is n_mu in {-N_mu/2 + 1, ..., N_mu/2}, which gives
-    exactly N_mu modes per direction.
-    """
-    if lat.boundary is not Boundary.PERIODIC:
-        raise ValueError("dual plane-wave modes exist only for periodic boxes; "
-                         "Dirichlet boxes diagonalize in sine modes")
-    windows = []
-    for n_mu in lat.dims:
-        lo = -(n_mu // 2) + 1 if n_mu % 2 == 0 else -(n_mu // 2)
-        windows.append(range(lo, n_mu // 2 + 1))
-    modes = []
-    for n in itertools.product(*windows):
-        k = tuple(2.0 * math.pi * n_mu / N for n_mu, N in zip(n, lat.dims))
-        modes.append(DualMode(n=n, k=k, eps=dispersion(k, a, J)))
-    return modes
-
-
 def dispersion_grid(lat: Lattice, a: float, J: float) -> np.ndarray:
-    """Dispersion on the dual lattice in FFT index order, shape ``dims``.
+    """Harmonic mode energies of the box in FFT index order, shape ``dims``.
 
+    These are the eigenvalues of a - J * (discrete Laplacian).
     Periodic: eps(n) = a + 4 J sum sin^2(pi n / N) over the FFT frequency grid.
     Dirichlet: sine-mode energies a + 4 J sum sin^2(pi p / (2(N+1))), p = 1..N,
     ordered to match an orthonormal type-I sine transform.

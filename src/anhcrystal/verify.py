@@ -14,8 +14,8 @@ import time
 
 import numpy as np
 
-from .covariance import (CovarianceKernel, InterpolatedCovariance,
-                         convex_decomposition, decomposition_matrix)
+from .covariance import (CovarianceKernel, convex_decomposition, decomposition_matrix,
+                         p_matrix)
 from .lattice import Lattice, RodMode
 from .params import (ModelParams, beta_threshold, epsilon_of_m, field_threshold,
                      mass_threshold, rescale, unrescale)
@@ -205,17 +205,15 @@ def check_interpolation(rng) -> tuple[bool, str]:
     lat = Lattice(nu=1, dims=(2,))
     kern = CovarianceKernel(lat, a=1.0, J=0.25, beta_hat=2.0)
     m = 8
-    points = tuple((i, s) for i in range(2) for s in range(m))
-    blocks = (tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 12)))
+    base = kern.grid_matrix([(i, s) for i in range(2) for s in range(m)], m)
+    labels = np.repeat(np.arange(4), 4)  # three blocks of four points, then the rest
     worst_psd, worst_rec = 0.0, 0.0
     for _ in range(10):
-        s = tuple(rng.uniform(0, 1, size=3))
-        ic = InterpolatedCovariance(kernel=kern, n_slices=m, points=points,
-                                    blocks=blocks, s=s)
-        mat = ic.matrix()
+        s = rng.uniform(0, 1, size=3)
+        mat = base * p_matrix(labels, s)
         eig = np.linalg.eigvalsh(mat)
         worst_psd = max(worst_psd, -float(eig.min()) / float(np.trace(mat)))
-        rec = decomposition_matrix(ic, convex_decomposition(ic))
+        rec = decomposition_matrix(base, labels, convex_decomposition(s))
         worst_rec = max(worst_rec, float(np.max(np.abs(rec - mat))))
     ok = worst_psd < 1e-10 and worst_rec < 1e-12
     return ok, f"min eig ratio {worst_psd:.1e}, reconstruction {worst_rec:.1e}"

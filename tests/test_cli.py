@@ -46,6 +46,10 @@ def write_config(tmp_path, text=BASE_CONFIG, **extra):
     return path
 
 
+def _json_error(capsys) -> str:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
 class TestConfig:
     def test_parse_roundtrip(self):
         cfg = parse_config_text("m = 0.5\ndims = 4, 4\nh = 0.1\nbeta = inf\n")
@@ -159,6 +163,17 @@ class TestSampleCommand:
         assert not (tmp_path / "out").exists()
 
 
+class TestParserErrors:
+    @pytest.mark.parametrize("argv, bad", [(["oracle", "--grid", "abc"], "abc"),
+                                           (["sample", "--backend", "foo"], "foo"),
+                                           (["cluster", "--check", "nope"], "nope")],
+                             ids=["oracle-grid", "sample-backend", "cluster-check"])
+    def test_bad_flag_exits_2_with_json_error(self, tmp_path, capsys, argv, bad):
+        assert main(["--out", str(tmp_path / "out"), *argv]) == 2
+        assert bad in _json_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+
 class TestCovarianceCommand:
     def test_csv_written(self, tmp_path):
         cfg = write_config(tmp_path, d=1)
@@ -264,10 +279,6 @@ class TestClusterCommand:
         assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
 
 
-def _json_error(capsys) -> str:
-    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
-
-
 class TestScanCommands:
     SMALL = ["--samples", "2000"]
 
@@ -330,6 +341,14 @@ class TestScanCommands:
         assert rc == 2
         assert "even" in _json_error(capsys)
         assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+
+    def test_uniqueness_manifest_records_the_zero_boundary(self, tmp_path):
+        cfg = write_config(tmp_path, d=1, boundary="periodic")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "uniqueness",
+                     "--sizes", "4", "--samples", "500"]) == 0
+        manifest = json.loads((out / "uniqueness.manifest.json").read_text())
+        assert manifest["config"]["boundary"] == "zero"
 
     def test_uniqueness_needs_a_chain(self, tmp_path, capsys):
         cfg = write_config(tmp_path, d=1, nu=2, dims=(4, 4))

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from anhcrystal.covariance import (CovarianceKernel, InterpolatedCovariance,
+from anhcrystal.covariance import (MAX_DECOMPOSITION_BLOCKS, CovarianceKernel,
                                    convex_decomposition, decomposition_matrix,
                                    p_matrix, temporal_factor)
 from anhcrystal.lattice import Boundary, Lattice
@@ -169,6 +170,77 @@ class TestGridMatrices:
         assert lam.min() >= 0.0
         assert lam.shape == (4, 16)
 
+    def test_dirichlet_matrix_memory_is_output_sized(self):
+        # the 32-site Dirichlet chain x 16 slices of the benchmark's shift check
+        kern = chain_kernel(n=32, J=0.5, boundary=Boundary.DIRICHLET)
+        points = [(i, s) for i in range(32) for s in range(16)]
+        tracemalloc.start()
+        try:
+            mat = kern.grid_matrix(points, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * mat.nbytes
+
+
+def lattice_operator(lat: Lattice, a: float, J: float) -> np.ndarray:
+    """a I - J Laplacian of the box as a dense matrix, bond by bond.
+
+    Every site has one bond per direction and step.  On a periodic side of 2
+    both land on the same neighbour (a doubled bond); on a side of 1 they land
+    on the site itself and cancel.  A clamped (Dirichlet) bond to the outside
+    layer adds to the diagonal only.
+    """
+    op = a * np.eye(lat.n_sites)
+    for site in lat.sites():
+        i = lat.site_index(site)
+        for mu in range(lat.nu):
+            for step in (-1, 1):
+                nb = list(site)
+                nb[mu] += step
+                op[i, i] += J
+                if lat.boundary is Boundary.PERIODIC:
+                    nb[mu] %= lat.dims[mu]
+                elif not 0 <= nb[mu] < lat.dims[mu]:
+                    continue
+                op[i, lat.site_index(nb)] -= J
+    return op
+
+
+class TestLatticeOperatorReference:
+    """G(tau) = V T(Lambda, tau) V^T from a dense eigendecomposition of the
+    lattice operator, independent of the kernel's own mode tables."""
+
+    DIMS = [(1,), (2,), (3,), (4,), (4, 2), (3, 2)]
+
+    @staticmethod
+    def reference(kern: CovarianceKernel, tau) -> np.ndarray:
+        lam, vec = np.linalg.eigh(lattice_operator(kern.lattice, kern.a, kern.J))
+        return (vec * temporal_factor(lam, tau, kern.beta_hat)) @ vec.T
+
+    @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.DIRICHLET])
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_closed(self, dims, boundary):
+        lat = Lattice(len(dims), dims, boundary)
+        kern = CovarianceKernel(lat, a=0.7, J=0.3, beta_hat=2.0)
+        for tau in (0.0, 0.4, 1.3):
+            want = self.reference(kern, tau)
+            got = np.array([[kern.closed(lat.site_coords(j), lat.site_coords(k), tau)
+                             for k in range(lat.n_sites)] for j in range(lat.n_sites)])
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.DIRICHLET])
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_grid_matrix(self, dims, boundary):
+        lat = Lattice(len(dims), dims, boundary)
+        kern = CovarianceKernel(lat, a=0.7, J=0.3, beta_hat=2.0)
+        m = 5
+        tables = [self.reference(kern, lag * kern.beta_hat / m) for lag in range(m)]
+        points = [(i, s) for i in range(lat.n_sites) for s in (0, 1, 3, 4)]
+        want = np.array([[tables[(si - sj) % m][i, j] for j, sj in points] for i, si in points])
+        got = kern.grid_matrix(points, m)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestPFunction:
     def test_same_block_is_one(self):
@@ -194,45 +266,38 @@ class TestPFunction:
                 assert mat[i, j] == pytest.approx(p_factor(bi, bj, s))
 
 
-def make_interpolated(s, n=2, m=8):
-    kern = chain_kernel(n=n)
-    points = tuple((i, sl) for i in range(n) for sl in range(m))
-    blocks = (tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 12)))
-    return InterpolatedCovariance(kernel=kern, n_slices=m, points=points,
-                                  blocks=blocks, s=tuple(s))
+def interpolated(s):
+    """(base, labels, base * p_matrix(labels, s)) on a 2-site, 8-slice grid.
+
+    Three blocks of four points each, then the complement block of the rest.
+    """
+    base = chain_kernel(n=2).grid_matrix([(i, sl) for i in range(2) for sl in range(8)], 8)
+    labels = np.repeat(np.arange(4), 4)
+    return base, labels, base * p_matrix(labels, s)
 
 
 class TestInterpolatedCovariance:
     def test_all_ones_reproduces_base(self):
-        ic = make_interpolated((1.0, 1.0, 1.0))
-        assert np.allclose(ic.matrix(), ic.base_matrix)
+        base, _, mat = interpolated((1.0, 1.0, 1.0))
+        assert np.allclose(mat, base)
 
     def test_zero_cut_decouples_complement(self):
-        ic = make_interpolated((0.7, 0.4, 0.0))
-        mat = ic.matrix()
-        inside = [i for i, b in enumerate(ic.block_of) if b <= 2]
-        outside = [i for i, b in enumerate(ic.block_of) if b == 3]
+        _, labels, mat = interpolated((0.7, 0.4, 0.0))
+        inside = np.flatnonzero(labels <= 2)
+        outside = np.flatnonzero(labels == 3)
         assert np.allclose(mat[np.ix_(inside, outside)], 0.0)
 
     def test_positive_semidefinite_random(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            ic = make_interpolated(rng.uniform(0, 1, size=3))
-            eig = np.linalg.eigvalsh(ic.matrix())
-            assert eig.min() >= -1e-10 * np.trace(ic.matrix())
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            make_interpolated((0.5, 1.2, 0.0))
+            _, _, mat = interpolated(rng.uniform(0, 1, size=3))
+            eig = np.linalg.eigvalsh(mat)
+            assert eig.min() >= -1e-10 * np.trace(mat)
 
 
 class TestConvexDecomposition:
     def test_single_parameter_split(self):
-        kern = chain_kernel(n=2)
-        points = tuple((i, s) for i in range(2) for s in range(8))
-        ic = InterpolatedCovariance(kernel=kern, n_slices=8, points=points,
-                                    blocks=(tuple(range(8)),), s=(0.3,))
-        terms = dict((runs, w) for w, runs in convex_decomposition(ic))
+        terms = dict((runs, w) for w, runs in convex_decomposition((0.3,)))
         assert len(terms) == 2
         # s-branch keeps one run, (1-s)-branch cuts the two blocks apart
         assert terms[((0, 1),)] == pytest.approx(0.3)
@@ -241,13 +306,11 @@ class TestConvexDecomposition:
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            ic = make_interpolated(rng.uniform(0, 1, size=3))
-            total = sum(w for w, _ in convex_decomposition(ic))
+            total = sum(w for w, _ in convex_decomposition(rng.uniform(0, 1, size=3)))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zero_is_fully_cut(self):
-        ic = make_interpolated((0.0, 0.0, 0.0))
-        terms = [(w, runs) for w, runs in convex_decomposition(ic) if w > 0]
+        terms = [(w, runs) for w, runs in convex_decomposition((0.0, 0.0, 0.0)) if w > 0]
         assert len(terms) == 1
         weight, runs = terms[0]
         assert weight == 1.0
@@ -256,14 +319,14 @@ class TestConvexDecomposition:
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            ic = make_interpolated(rng.uniform(0, 1, size=3))
-            rec = decomposition_matrix(ic, convex_decomposition(ic))
-            assert np.max(np.abs(rec - ic.matrix())) < 1e-12
+            s = rng.uniform(0, 1, size=3)
+            base, labels, mat = interpolated(s)
+            rec = decomposition_matrix(base, labels, convex_decomposition(s))
+            assert np.max(np.abs(rec - mat)) < 1e-12
 
     def test_rejects_large_n(self):
-        ic = make_interpolated((0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
-            convex_decomposition(ic, max_blocks=2)
+            convex_decomposition((0.5,) * (MAX_DECOMPOSITION_BLOCKS + 1))
 
 
 class TestTemporalFactor:

@@ -1,14 +1,54 @@
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anhcrystal.lattice import (Boundary, Lattice, RodMode, dispersion,
-                                dispersion_grid, dual_modes, rod_partition)
+from anhcrystal.lattice import Boundary, Lattice, RodMode, dispersion_grid, rod_partition
+
+
+def dispersion(k, a: float, J: float) -> float:
+    """Harmonic mode energy a + 4 J sum_mu sin^2(k_mu / 2)."""
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    return float(a + 4.0 * J * np.sum(np.sin(k / 2.0) ** 2))
+
+
+@dataclass(frozen=True)
+class DualMode:
+    """One plane-wave mode of the harmonic lattice operator."""
+
+    n: tuple[int, ...]
+    k: tuple[float, ...]
+    eps: float
+
+    @property
+    def lam(self) -> float:
+        return math.sqrt(self.eps)
+
+
+def dual_modes(lat: Lattice, a: float = 1.0, J: float = 0.0) -> list[DualMode]:
+    """Enumerate the dual lattice of a periodic box with dispersion attached.
+
+    The integer window is n_mu in {-N_mu/2 + 1, ..., N_mu/2}, which gives
+    exactly N_mu modes per direction.  This is the reference enumeration for
+    ``dispersion_grid``.
+    """
+    if lat.boundary is not Boundary.PERIODIC:
+        raise ValueError("dual plane-wave modes exist only for periodic boxes; "
+                         "Dirichlet boxes diagonalize in sine modes")
+    windows = []
+    for n_mu in lat.dims:
+        lo = -(n_mu // 2) + 1 if n_mu % 2 == 0 else -(n_mu // 2)
+        windows.append(range(lo, n_mu // 2 + 1))
+    modes = []
+    for n in itertools.product(*windows):
+        k = tuple(2.0 * math.pi * n_mu / N for n_mu, N in zip(n, lat.dims))
+        modes.append(DualMode(n=n, k=k, eps=dispersion(k, a, J)))
+    return modes
 
 
 def neighbor_pairs(lat: Lattice):
