@@ -19,7 +19,10 @@ the plain block expectation of A exp(-V(X_1)).
 K is estimated by randomized quasi-Monte Carlo over (s, z) jointly: each row
 of a scrambled Sobol sequence gives one s and the normals z of one draw from
 the interpolated Gaussian on the blocks' own points, and every tree of a rod
-sequence is scored on the same rows with its per-row weight f(eta; s).
+sequence is scored on the same rows with its per-row weight f(eta; s).  The
+rows are made a chunk at a time (``scrambled_normals``), and the package's
+one batch engine, ``sampler.accumulate``, sums them into one batch per
+scramble, as it sums the plain draws of the other estimators.
 
 On the grid every functional identity becomes an exact finite-dimensional
 Gaussian integration-by-parts identity, which is what the verification suite
@@ -37,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -376,7 +380,7 @@ def _sobol_directions(dim: int, m: int) -> np.ndarray:
     return (points[2 ** np.arange(1, m + 1) - 1] * 2 ** SOBOL_BITS).astype(np.uint32)
 
 
-def scrambled_normals(n_samples: int, dim: int, seed: int) -> np.ndarray:
+def scrambled_normals(n_samples: int, dim: int, seed: int) -> SimpleNamespace:
     """Standard normals from independently scrambled Sobol blocks (Owen 1997).
 
     Rows come in RQMC_BATCHES consecutive blocks of equal size, one
@@ -389,40 +393,49 @@ def scrambled_normals(n_samples: int, dim: int, seed: int) -> np.ndarray:
     rng=default_rng(child_b))``, child_b the b-th spawn of SeedSequence(seed),
     bit for bit.  The engine's linear matrix scramble and digital shift
     (Matousek 1998), drawn as the engine draws them, are applied in numpy:
-    a scramble is GF(2)-linear, so all blocks are scrambled at once.
+    a scramble is GF(2)-linear, so it maps the Sobol direction numbers once.
+    Returns a row source for ``accumulate``: ``rows(start, stop)`` makes
+    rows start..stop-1, whole blocks or a piece of one block, resuming the
+    Gray-code XOR at any row, so no call holds all n_samples x dim normals.
     """
     per = n_samples // RQMC_BATCHES
     if per * RQMC_BATCHES != n_samples:
         raise ValueError(f"sample count must be a multiple of {RQMC_BATCHES}")
     m = math.ceil(math.log2(per))
-    # cols[b, d, k]: column k of block b's scramble matrix as an integer
-    # (scipy's bit order reverses both axes of ltm); table row 0: the shift
-    table = np.empty((RQMC_BATCHES, per, dim), dtype=np.uint32)
-    cols = np.empty((RQMC_BATCHES, dim, SOBOL_BITS), dtype=np.uint32)
+    bits = (_sobol_directions(dim, m)[:, :, None] >> _BIT) & 1  # (m, dim, k)
+    shift = np.empty((RQMC_BATCHES, dim), dtype=np.uint32)
+    directions = np.empty((RQMC_BATCHES, m, dim), dtype=np.uint32)
     for b, child in enumerate(np.random.SeedSequence(seed).spawn(RQMC_BATCHES)):
         rng = np.random.default_rng(child.spawn(1)[0])
-        shift = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32)
-        table[b, 0] = (shift << _BIT).sum(axis=1, dtype=np.uint32)
+        shift_bits = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32)
+        shift[b] = (shift_bits << _BIT).sum(axis=1, dtype=np.uint32)
         ltm = np.tril(rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
         ltm[:, _BIT, _BIT] = 1
-        cols[b] = (ltm[:, ::-1, ::-1] << _BIT[:, None]).sum(axis=1, dtype=np.uint32)
-    bits = (_sobol_directions(dim, m).T[:, :, None] >> _BIT) & 1        # (dim, m, k)
-    scrambled = np.bitwise_xor.reduce(cols[:, :, None, :] * bits, axis=-1)  # (b, dim, m)
-    i = np.arange(1, per)  # Gray-code row i: direction trailing_zeros(i)
-    table[:, 1:] = scrambled.transpose(0, 2, 1)[:, np.log2(i & -i).astype(np.intp)]
-    u = np.bitwise_xor.accumulate(table, axis=1).reshape(n_samples, dim) * 2.0 ** -SOBOL_BITS
-    return ndtri(0.5 + (1.0 - 1e-10) * (u - 0.5))
+        # column k of the scramble matrix as an integer (scipy's bit order
+        # reverses both axes of ltm), XORed over the bits of each direction
+        cols = (ltm[:, ::-1, ::-1] << _BIT[:, None]).sum(axis=1, dtype=np.uint32)
+        directions[b] = np.bitwise_xor.reduce(cols * bits, axis=-1)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        b, lo = divmod(start, per)
+        n_blocks = max(1, (stop - start) // per)  # whole blocks, or a piece of block b
+        hi = lo + (stop - start) // n_blocks
+        first = (lo ^ lo >> 1) >> np.arange(m) & 1 == 1  # the directions row lo XORs
+        i = np.arange(lo + 1, hi)  # each later row XORs direction trailing_zeros(i)
+        table = np.empty((n_blocks, hi - lo, dim), dtype=np.uint32)
+        table[:, 0] = np.bitwise_xor.reduce(directions[b:b + n_blocks, first], axis=1)
+        table[:, 0] ^= shift[b:b + n_blocks]
+        table[:, 1:] = directions[b:b + n_blocks, np.log2(i & -i).astype(np.intp)]
+        u = np.bitwise_xor.accumulate(table, axis=1).reshape(-1, dim) * 2.0 ** -SOBOL_BITS
+        return ndtri(0.5 + (1.0 - 1e-10) * (u - 0.5))
+
+    return SimpleNamespace(batches=RQMC_BATCHES, rows=rows)
 
 
 def gaussian_bump_mean(mean, var, delta_m: float):
     """E[exp(-delta_m phi^2 / 2)] for phi ~ N(mean, var), in closed form."""
     spread = 1.0 + delta_m * var
     return np.exp(-0.5 * delta_m * mean ** 2 / spread) / np.sqrt(spread)
-
-
-def _normals(dim: int):
-    """Draw function for ``accumulate``: n rows of ``dim`` standard normals."""
-    return lambda rng, n: rng.standard_normal((n, dim))
 
 
 @dataclass
@@ -638,12 +651,14 @@ class ClusterInstance:
         the unit interval, are the row's s and whose rest are its normals z.
         Each row draws phi = L(s) z from the interpolated kernel on the
         blocks' own points, and every tree is scored on that phi with its
-        weight f(eta; s); the Gibbs weight multiplies the tree sum once.  Rows
-        go in chunks whose kernels hold at most CHUNK_VALUES values.  Trees
-        share rows, so the error is the jackknife error of the per-row tree
-        sum over the scrambles.  The empty sequence is order 1: no s, the one
-        tree ``Tree(())`` with no lines and f = 1, so K is the block
-        expectation of A exp(-V(X_1)) under the X_1-restricted kernel.
+        weight f(eta; s); the Gibbs weight multiplies the tree sum once.
+        ``accumulate`` does this per-row work once per chunk of rows whose
+        kernels hold at most CHUNK_VALUES values: whole scrambles when they
+        fit, pieces of one scramble otherwise.  Trees share rows, so the
+        error is the jackknife error of the per-row tree sum over the
+        scrambles.  The empty sequence is order 1: no s, the one tree
+        ``Tree(())`` with no lines and f = 1, so K is the block expectation of
+        A exp(-V(X_1)) under the X_1-restricted kernel.
         """
         n = len(yseq) + 1
         if n > ORDER_CAP[self.mode]:
@@ -651,19 +666,18 @@ class ClusterInstance:
         blocks = self.blocks_for(yseq)
         trees = enumerate_trees(n)
         n_pts = sum(len(b) for b in blocks)
-        u = scrambled_normals(n_samples, n - 1 + n_pts, seed)
-        s, z = ndtr(u[:, :n - 1]), u[:, n - 1:]
-        rows = max(1, CHUNK_VALUES // n_pts ** 2)
-        values = np.empty(n_samples)
-        for start in range(0, n_samples, rows):
-            s_c = s[start:start + rows]
-            _, phi = self.sample_block(blocks, s_c, z[start:start + rows])
+
+        def work(u):
+            s = ndtr(u[:, :n - 1])
+            _, phi = self.sample_block(blocks, s, u[:, n - 1:])
             ks, weight = self._contract(trees, blocks, phi)
-            values[start:start + rows] = weight * sum(f_factor(tree, s_c) * k
-                                                      for tree, k in zip(trees, ks))
-        per = values.reshape(RQMC_BATCHES, -1)
-        sums = np.stack([np.full(RQMC_BATCHES, per.shape[1]), per.sum(axis=1)], axis=1)
-        return float(values.mean()), float(jackknife(sums, lambda c: c[1] / c[0])[1])
+            return weight * sum(f_factor(tree, s) * k for tree, k in zip(trees, ks))
+
+        sums = accumulate(scrambled_normals(n_samples, n - 1 + n_pts, seed),
+                          lambda v: (len(v), v.sum()), n_samples, seed, work=work,
+                          chunk=max(1, CHUNK_VALUES // n_pts ** 2))
+        k, dk = jackknife(sums, lambda c: c[1] / c[0])
+        return float(k), float(dk)
 
     def ratio_table(self, yseqs, n_samples: int, seed: int) -> np.ndarray:
         """Batch sums whose ratios F_j = Z(complement of X_n)/Z >= 1 belong to yseqs[j].
@@ -742,7 +756,8 @@ class ClusterInstance:
             cut = self.weighted_observable(z @ cut_root.T)[0]
             return (coupled - cut).sum(), coupled.sum(), cut.sum(), weight.sum()
 
-        sums = accumulate(_normals(self.grid.n_points), columns, n_samples, seed)
+        sums = accumulate(lambda rng, n: rng.standard_normal((n, self.grid.n_points)),
+                          columns, n_samples, seed)
         values, errors = jackknife(sums, lambda c: c[:3] / c[3])
         return tuple(float(x) for pair in zip(values, errors) for x in pair)
 
@@ -759,31 +774,41 @@ class ClusterInstance:
         first-order part -dt b_m sum exp(-delta_m phi^2 / 2) has a closed-form
         Gaussian mean given the X_2 normals, so it is swapped for that mean
         at both ends (a control variate; the estimand is unchanged).  Normals
-        are scrambled Sobol blocks.  Z comes from the same rows drawn through
+        are scrambled Sobol rows.  Z comes from the same rows drawn through
         the root of the full kernel, so the residual is a self-normalised
-        ratio with one jackknife over the scrambles.  Returns (residual, stderr).
+        ratio with one jackknife over the scrambles.  Every root is factored
+        once per call; ``accumulate`` then feeds the rows in chunks of at
+        most CHUNK_VALUES normals (whole scrambles when they fit), so memory
+        does not grow with the row count.  Returns (residual, stderr).
         """
         tree = Tree(parent=(1,))
         nodes, weights = gauss_legendre_unit()
-        z = scrambled_normals(n_samples, self.grid.n_points, seed)
-        acc = np.zeros(n_samples)
+        ends = []  # per Y_2: X_2's blocks and size, then (root, rest variance) cut and per node
         for y in self.free_rod_ids:
             rest = [self.rod_points[r] for r in self.free_rod_ids if r != y]
             blocks = self.blocks_for((y,)) + [np.concatenate(rest)]
             n2 = len(blocks[0]) + len(blocks[1])
             _, cut = self.block_matrix(blocks, (1.0, 0.0))
-            rest_cut = z[:, n2:] @ np.linalg.cholesky(cut[n2:, n2:]).T
-            end_cut = self._rest_weight(rest_cut, 0.0, np.diag(cut)[n2:])
-            for x, w in zip(nodes, weights):
-                _, mat = self.block_matrix(blocks, (x, 1.0))
-                chol = np.linalg.cholesky(mat)
-                phi = z @ chol.T
-                (k,), weight = self._contract([tree], blocks[:2], phi)
-                end = self._rest_weight(phi[:, n2:], z[:, :n2] @ chol[n2:, :n2].T,
-                                        np.sum(chol[n2:, n2:] ** 2, axis=1))
-                acc += w * (k * weight) * (end - end_cut)
-        z_weight = self.gibbs_weight(z @ np.linalg.cholesky(self.full_matrix).T, slice(None))
-        sums = np.stack([acc, z_weight], axis=1).reshape(RQMC_BATCHES, -1, 2).sum(axis=1)
+            cut = cut[n2:, n2:]
+            roots = [np.linalg.cholesky(self.block_matrix(blocks, (x, 1.0))[1]) for x in nodes]
+            ends.append((blocks[:2], n2, (np.linalg.cholesky(cut), np.diag(cut).copy()),
+                         [(c, np.sum(c[n2:, n2:] ** 2, axis=1)) for c in roots]))
+        full_root = np.linalg.cholesky(self.full_matrix)
+
+        def work(z):
+            acc = np.zeros(len(z))
+            for blocks, n2, (cut_root, cut_var), roots in ends:
+                end_cut = self._rest_weight(z[:, n2:] @ cut_root.T, 0.0, cut_var)
+                for (chol, var), w in zip(roots, weights):
+                    phi = z @ chol.T
+                    (k,), weight = self._contract([tree], blocks, phi)
+                    end = self._rest_weight(phi[:, n2:], z[:, :n2] @ chol[n2:, :n2].T, var)
+                    acc += w * (k * weight) * (end - end_cut)
+            return np.stack([acc, self.gibbs_weight(z @ full_root.T, slice(None))], axis=1)
+
+        sums = accumulate(scrambled_normals(n_samples, self.grid.n_points, seed),
+                          lambda v: v.sum(axis=0), n_samples, seed, work=work,
+                          chunk=max(1, CHUNK_VALUES // self.grid.n_points))
         resid, dresid = jackknife(sums, lambda c: c[0] / c[1])
         return float(resid), float(dresid)
 
@@ -895,7 +920,8 @@ def newton_leibniz_report(instance: ClusterInstance, n_samples: int,
         coupled = instance.sample_block(blocks, np.array([1.0]), z)[1]
         return ibp.sum(), instance.gibbs_weight(coupled, slice(None)).sum()
 
-    sums = accumulate(_normals(instance.grid.n_points), columns, n_samples, seed + 5)
+    sums = accumulate(lambda rng, n: rng.standard_normal((n, instance.grid.n_points)),
+                      columns, n_samples, seed + 5)
     ibp, dibp = jackknife(sums, lambda c: c[0] / c[1])
     return SplitReport(direct=(direct, ddirect), term_one=(term_one, dterm_one),
                        remainder=(r1, dr1), remainder_ibp=(float(ibp), float(dibp)))

@@ -156,7 +156,7 @@ class CovarianceKernel:
         """
         return float(self.time_integral_profile().sum())
 
-    def log_partition(self, d: int = 1) -> float:
+    def log_partition(self, d: int) -> float:
         """log of the harmonic normalization, ground energy subtracted.
 
         Equals -d * sum_modes log(1 - e^{-beta_hat sqrt(eps)}); tends to 0 as

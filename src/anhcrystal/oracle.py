@@ -98,7 +98,7 @@ class GridHamiltonian:
     def energies(self) -> np.ndarray:
         return self._solution[0]
 
-    def displacement_matrix(self, site: int = 0) -> np.ndarray:
+    def displacement_matrix(self, site: int) -> np.ndarray:
         return self._solution[1][site]
 
 

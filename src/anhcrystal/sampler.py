@@ -16,12 +16,15 @@ reference Gaussian into the same Gaussian with mean m = -C l, so importance
 sampling draws phi = psi + m and weights it by exp(-dt sum V(phi)) alone:
 for every field and boundary the weight lies in (0, 1] and no log-weight can
 overflow; the MCMC runs on the same shifted reference.  One core serves
-every importance-sampling estimator: ``accumulate`` sums columns over chunked
-draws in N_BATCHES batches, ``jackknife`` gives the delete-one-batch error of
-any ratio of column sums, and the ESS is Kong's (sum w)^2 / sum w^2.  Periodic
-draws can also come as their half-spectra sqrt(lambda) rfftn(z), which the
-filter computes anyway: translation-averaged two-point tables sum
-w |phi_hat|^2 over the draws and need no forward transform of their own.
+every importance-sampling estimator and the cluster engine's Monte Carlo:
+``accumulate`` sums columns over chunks of rows, from the plain generator
+stream in N_BATCHES batches or from scrambled Sobol rows
+(``cluster.scrambled_normals``) in one batch per scramble; ``jackknife``
+gives the delete-one-batch error of any ratio of column sums, and the ESS
+is Kong's (sum w)^2 / sum w^2.  Periodic draws can also come as their
+half-spectra sqrt(lambda) rfftn(z), which the filter computes anyway:
+translation-averaged two-point tables sum w |phi_hat|^2 over the draws and
+need no forward transform of their own.
 """
 
 from __future__ import annotations
@@ -314,27 +317,39 @@ def _warn_small_ess(ess: float):
                       "estimates unreliable", RuntimeWarning, stacklevel=3)
 
 
-def accumulate(draw, columns, n_samples: int, seed: int) -> np.ndarray:
-    """Per-batch column sums over ``n_samples`` draws in N_BATCHES batches.
+def accumulate(draw, columns, n_samples: int, seed: int, *, work=None,
+               chunk: int | None = None) -> np.ndarray:
+    """Per-batch column sums over ``n_samples`` rows.
 
-    ``draw(rng, n)`` returns n draws from one generator seeded with ``seed``;
-    ``columns(draws)`` returns the sum over those draws of each column (a
-    sequence of scalars, or of arrays of one shape).  Batches are drawn in
-    chunks of at most MAX_CHUNK, so memory stays bounded for any budget.
-    Returns shape (N_BATCHES, n_columns, ...).
+    The rows are the plain stream ``draw(rng, n)``, n at a time from one
+    generator seeded with ``seed``, in N_BATCHES batches; or ``draw`` is a
+    row source with ``batches`` and ``rows(start, stop)`` and its own seed
+    (``cluster.scrambled_normals``).  A chunk of rows is as many whole
+    batches as fit in ``chunk`` rows, else at most ``chunk`` rows of one
+    batch; by default one batch in pieces of at most MAX_CHUNK, so memory
+    stays bounded for any budget.  ``work(rows)``, if given, runs once per
+    chunk and returns an array with a leading row axis; ``columns`` gets
+    each batch's slice of it (or of the rows) and returns the slice's sum of
+    each column (scalars, or arrays of one shape).
+    Returns shape (batches, n_columns, ...).
     """
-    if n_samples % N_BATCHES != 0:
-        raise ValueError(f"sample count must be a multiple of {N_BATCHES} batches")
-    per = n_samples // N_BATCHES
-    rng = np.random.default_rng(seed)
-    sums = None
-    for b in range(N_BATCHES):
-        for start in range(0, per, MAX_CHUNK):
-            chunk = np.asarray(columns(draw(rng, min(MAX_CHUNK, per - start))), dtype=float)
-            if sums is None:
-                sums = np.zeros((N_BATCHES,) + chunk.shape)
-            sums[b] += chunk
-    return sums
+    batches = getattr(draw, "batches", N_BATCHES)
+    if n_samples % batches != 0:
+        raise ValueError(f"sample count must be a multiple of {batches} batches")
+    per = n_samples // batches
+    rng = np.random.default_rng(seed)  # the plain stream, asked for in order
+    rows = getattr(draw, "rows", None) or (lambda start, stop: draw(rng, stop - start))
+    chunk = min(MAX_CHUNK, per) if chunk is None else chunk
+    group = max(1, chunk // per) * per  # the whole batches one chunk can hold
+    starts = [lo for first in range(0, n_samples, group)
+              for lo in range(first, min(first + group, n_samples), min(chunk, group))]
+    sums = [0.0] * batches
+    for lo, hi in zip(starts, starts[1:] + [n_samples]):
+        values = rows(lo, hi) if work is None else work(rows(lo, hi))
+        for b in range(lo // per, (hi - 1) // per + 1):
+            part = values[max(lo, b * per) - lo:(b + 1) * per - lo]
+            sums[b] = sums[b] + np.asarray(columns(part), dtype=float)
+    return np.array(sums)
 
 
 def jackknife(batch_sums: np.ndarray, statistic):
@@ -465,24 +480,6 @@ def expectation(ensemble: Ensemble, observable, n_samples: int, seed: int,
     if backend == "mcmc":
         return pcn_expectation(ensemble, observable, n_samples, seed)
     raise ValueError(f"unknown backend {backend!r}")
-
-
-def truncated_two_point(ensemble: Ensemble, p1, p2, n_samples: int,
-                        seed: int) -> EstimatorResult:
-    """Connected two-point function with jackknife error over batches."""
-    obs_a = ensemble.phi_product([p1])
-    obs_b = ensemble.phi_product([p2])
-
-    def columns(phi):
-        w = ensemble.weight(phi)
-        av, bv = obs_a(phi), obs_b(phi)
-        return w.sum(), (w * av).sum(), (w * bv).sum(), (w * av * bv).sum(), (w ** 2).sum()
-
-    def connected(c):
-        return c[3] / c[0] - (c[1] / c[0]) * (c[2] / c[0])
-
-    sums = accumulate(ensemble.draw, columns, n_samples, seed)
-    return _weighted_result(sums, connected, n_samples, seed)
 
 
 def two_point_table(ensemble: Ensemble, time_lag, n_samples: int, seed: int):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -72,7 +73,7 @@ def quadrature_term(inst, yseq, n_samples, seed):
     n = len(yseq) + 1
     nodes, weights = gauss_legendre_unit()
     blocks = inst.blocks_for(yseq)
-    z = scrambled_normals(n_samples, sum(len(b) for b in blocks), seed)
+    z = scrambled_normals(n_samples, sum(len(b) for b in blocks), seed).rows(0, n_samples)
     acc = np.zeros(n_samples)
     for combo in itertools.product(range(len(nodes)), repeat=n - 1):
         s = nodes[list(combo)]
@@ -389,19 +390,49 @@ class TestClusterTerms:
         assert math.hypot(dk, dref) <= 0.2 * abs(ref), (k, dk, ref, dref)
 
     def test_rows_run_in_bounded_chunks(self, monkeypatch):
-        # 12 points per row: a budget of 7000 values gives chunks of 48 rows
+        # 12 points per cluster-term row: a budget of 7000 values allows 48
+        # rows, so each 100-row scramble runs in pieces of 48, 48 and 4; a
+        # budget of 30,000 values allows 208 rows, which hold two whole
+        # scrambles.  R2's rows hold 16 normals, and every field, rest block
+        # and conditional mean it scores stays within the budget
         inst = make_instance(b_m=0.3)
         yseq = inst.free_rod_ids[:2]
         whole = inst.cluster_term(yseq, 2000, seed=5)
-        monkeypatch.setattr(cluster_module, "CHUNK_VALUES", 7000)
-        rows = []
+        whole_r2 = inst.second_step_residual(2000, seed=3)
+        rows, sizes = [], []
         sample_block = inst.sample_block
         monkeypatch.setattr(inst, "sample_block",
                             lambda b, s, z: rows.append(len(z)) or sample_block(b, s, z))
-        chunked = inst.cluster_term(yseq, 2000, seed=5)
-        assert max(rows) * 12 ** 2 <= 7000 and sum(rows) == 2000, rows
-        assert len(rows) == 42
-        assert chunked == pytest.approx(whole, rel=1e-12, abs=0.0)
+        for name in ("_contract", "_rest_weight", "gibbs_weight"):
+            method = getattr(inst, name)
+            monkeypatch.setattr(inst, name, lambda *args, _method=method: sizes.extend(
+                a.size for a in args if isinstance(a, np.ndarray)) or _method(*args))
+        for budget, chunks in ((7000, [48, 48, 4] * 20), (30_000, [200] * 10)):
+            monkeypatch.setattr(cluster_module, "CHUNK_VALUES", budget)
+            rows.clear()
+            chunked = inst.cluster_term(yseq, 2000, seed=5)
+            assert rows == chunks
+            assert chunked == pytest.approx(whole, rel=1e-12, abs=0.0)
+            sizes.clear()
+            chunked = inst.second_step_residual(2000, seed=3)
+            assert inst.grid.n_points == 16 and max(sizes) <= budget, (budget, max(sizes))
+            assert chunked == pytest.approx(whole_r2, rel=1e-12, abs=0.0)
+
+    def test_second_step_memory_does_not_grow_with_rows(self, monkeypatch):
+        # 64 points, chunks of 1000 rows: four times the rows, the same peak;
+        # a first small call fills the caches (scipy's Sobol direction table)
+        inst = make_instance(n_slices=32, b_m=0.3)
+        monkeypatch.setattr(cluster_module, "CHUNK_VALUES", 64 * 1000)
+        inst.second_step_residual(20, seed=9)
+        peaks = []
+        for n_samples in (1000, 4000):
+            tracemalloc.start()
+            try:
+                inst.second_step_residual(n_samples, seed=9)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert inst.grid.n_points == 64 and peaks[1] <= 1.2 * peaks[0], peaks
 
     def test_ratio_f_free_case(self):
         inst = make_instance(b_m=0.0)
@@ -421,9 +452,9 @@ class TestClusterTerms:
 
 class TestSharedDraws:
     def test_scrambled_normals_blocks(self):
-        z = scrambled_normals(4000, 6, seed=3)
+        z = scrambled_normals(4000, 6, seed=3).rows(0, 4000)
         assert z.shape == (4000, 6)
-        assert np.array_equal(z, scrambled_normals(4000, 6, seed=3))
+        assert np.array_equal(z, scrambled_normals(4000, 6, seed=3).rows(0, 4000))
         assert abs(z.mean()) < 0.01 and abs(z.var() - 1.0) < 0.02
         # each block is its own scramble, not a repeat of the first
         blocks = z.reshape(20, 200, 6)
@@ -433,8 +464,22 @@ class TestSharedDraws:
     def test_scrambled_normals_equal_scipy_engines(self, dim):
         for per in (1, 3, 100, 1250):
             for seed in (0, 17, 20_017):
-                assert np.array_equal(scrambled_normals(20 * per, dim, seed),
+                assert np.array_equal(scrambled_normals(20 * per, dim, seed).rows(0, 20 * per),
                                       engine_scrambled_normals(20 * per, dim, seed)), (per, seed)
+
+    def test_scrambled_rows_resume_anywhere(self):
+        # rows asked for as whole blocks, or as a piece of one block starting
+        # anywhere in it, are the rows of the whole sequence
+        for per, dim in ((100, 5), (1250, 3), (1, 4)):
+            whole = engine_scrambled_normals(20 * per, dim, seed=7)
+            rows = scrambled_normals(20 * per, dim, seed=7).rows
+            for lo, hi in ((0, 20 * per), (3 * per, 7 * per), (19 * per, 20 * per)):
+                assert np.array_equal(rows(lo, hi), whole[lo:hi]), (per, lo, hi)
+            rng = np.random.default_rng(per)
+            for b in (0, 4, 9, 13, 19):
+                lo = b * per + rng.integers(per)
+                hi = rng.integers(lo + 1, (b + 1) * per + 1)
+                assert np.array_equal(rows(lo, hi), whole[lo:hi]), (per, lo, hi)
 
     def test_scrambled_normals_need_whole_blocks(self):
         with pytest.raises(ValueError, match="multiple of 20"):
@@ -526,3 +571,55 @@ class TestExpansionIdentity:
         with pytest.raises(ValueError, match="scalar"):
             ClusterInstance(ensemble=ens, mode=RodMode.LOW_TEMPERATURE,
                             monomials={0: 2})
+
+
+class TestPinnedOutputs:
+    """Criterion 8's instance at pinned seeds, against recorded values.
+
+    The values were recorded when ``cluster_term`` and ``second_step_residual``
+    still summed their scrambles by hand.  R2's one chunk and the order-1 and
+    order-2 chunks kept their rows, so those errors match exactly; the
+    cluster-term means are now the jackknife's ratio of summed batch sums,
+    not the mean of every row, and the order-3 chunks moved, where einsum
+    may contract in another order: those match to 1e-12.  R1 and the
+    Newton-Leibniz report draw plain normals and match exactly.
+    """
+
+    @pytest.fixture(scope="class")
+    def inst(self):
+        ens = Ensemble(lattice=Lattice(1, (2,)), a=0.5, J=0.5, beta_hat=2.0, n_slices=8,
+                       b_m=0.1, delta_m=5.0, d=1, bc=periodic_bc())
+        return ClusterInstance(ensemble=ens, mode=RodMode.LOW_TEMPERATURE,
+                               monomials={ens.grid.point(0, 2): 2})
+
+    @pytest.mark.parametrize("yseq, n_samples, seed, value, stderr, moved", [
+        ((), 2000, 5, 0.746646434748595, 0.005825346690220695, False),
+        ((1,), 4000, 7, 0.013957531742223328, 0.000480401651572531, False),
+        ((1, 2), 4000, 9, -7.816356742428158e-06, 4.094767750249881e-05, True),
+    ])
+    def test_cluster_term(self, inst, yseq, n_samples, seed, value, stderr, moved):
+        k, dk = inst.cluster_term(yseq, n_samples, seed)
+        assert k == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert dk == (pytest.approx(stderr, rel=1e-12, abs=0.0) if moved else stderr)
+
+    def test_second_step_residual(self, inst):
+        assert inst.second_step_residual(4000, 20_017) == (0.0005860288710804727,
+                                                           1.532585026591446e-05)
+
+    def test_order_three(self, inst):
+        value, stderr = inst.order_contribution(3, 2000, 271)
+        assert value == pytest.approx(0.00041400965653481877, rel=1e-12, abs=0.0)
+        assert stderr == pytest.approx(0.00019860415221869773, rel=1e-12, abs=0.0)
+
+    def test_first_step_residual(self, inst):
+        assert inst.first_step_residual(20_000, 17) == (
+            0.03275524157719668, 0.0011925922808783327, 0.8118342630623449,
+            0.00809274995033325, 0.7790790214851483, 0.007417693720809274)
+
+    def test_newton_leibniz_report(self, inst):
+        rep = newton_leibniz_report(inst, 20_000, 11)
+        assert (rep.direct, rep.term_one, rep.remainder, rep.remainder_ibp) == (
+            (0.8008744412639978, 0.00873313816702783),
+            (0.7689004668981337, 0.007789242680947251),
+            (0.03197397436586391, 0.0012254073827887109),
+            (0.03149279733554245, 0.000725054323469932))

@@ -14,13 +14,31 @@ from anhcrystal.sampler import (N_BATCHES, Ensemble, EstimatorResult,
                                 GaussianFieldSampler, accumulate, boundary_mean_shift,
                                 doubled_measure_correlation, expectation, gap_estimate,
                                 jackknife, pcn_expectation, periodic_bc,
-                                reweight_expectation, tempered_bc, truncated_two_point,
-                                two_point_table, zero_bc)
+                                reweight_expectation, tempered_bc, two_point_table,
+                                zero_bc)
 
 
 def compatible(a: EstimatorResult, b: EstimatorResult, n_sigma: float) -> bool:
     """Whether two estimates lie within n_sigma combined standard errors."""
     return abs(a.mean - b.mean) <= n_sigma * math.hypot(a.stderr, b.stderr)
+
+
+def truncated_two_point(ensemble: Ensemble, p1, p2, n_samples: int,
+                        seed: int) -> EstimatorResult:
+    """Connected two-point function with jackknife error over batches, and Kong's ESS."""
+    obs_a = ensemble.phi_product([p1])
+    obs_b = ensemble.phi_product([p2])
+
+    def columns(phi):
+        w = ensemble.weight(phi)
+        av, bv = obs_a(phi), obs_b(phi)
+        return w.sum(), (w * av).sum(), (w * bv).sum(), (w * av * bv).sum(), (w ** 2).sum()
+
+    sums = accumulate(ensemble.draw, columns, n_samples, seed)
+    mean, stderr = jackknife(sums, lambda c: c[3] / c[0] - (c[1] / c[0]) * (c[2] / c[0]))
+    total = sums.sum(axis=0)
+    return EstimatorResult(mean=float(mean), stderr=float(stderr), n_samples=n_samples,
+                           seed=seed, ess=float(total[0] ** 2 / total[-1]))
 
 
 # -- single-draw helpers, used only by these tests ------------------------------
@@ -520,6 +538,34 @@ class TestImportanceCore:
                        bc=periodic_bc())
         res = reweight_expectation(ens, ens.mean_displacement(), 10_000, seed=5)
         assert res.ess >= 0.9 * 10_000, res
+
+    class IndexRows:
+        """A row source whose rows are their own indices; records each request."""
+
+        def __init__(self, batches):
+            self.batches, self.asked = batches, []
+
+        def rows(self, start, stop):
+            self.asked.append((start, stop))
+            return np.arange(start, stop, dtype=float)
+
+    @pytest.mark.parametrize("chunk, asked", [
+        (None, [(0, 100), (100, 200), (200, 300), (300, 400)]),
+        (300, [(0, 300), (300, 400)]),
+        (30, [(b * 100 + lo, b * 100 + min(lo + 30, 100))
+              for b in range(4) for lo in range(0, 100, 30)]),
+    ])
+    def test_chunks_hold_whole_batches_or_pieces_of_one(self, chunk, asked):
+        # four batches of 100 rows; the work runs once per chunk and each
+        # batch's slice of it is summed into that batch
+        source = self.IndexRows(4)
+        sums = accumulate(source, lambda v: (len(v), v.sum()), 400, seed=0,
+                          work=lambda r: 2.0 * r, chunk=chunk)
+        assert source.asked == asked
+        expected = [(100.0, 2.0 * sum(range(b * 100, b * 100 + 100))) for b in range(4)]
+        assert np.array_equal(sums, expected)
+        with pytest.raises(ValueError, match="multiple of 4 batches"):
+            accumulate(self.IndexRows(4), lambda v: (len(v),), 402, seed=0)
 
     def test_jackknife_of_a_plain_mean_is_the_batch_means_stderr(self):
         values = np.random.default_rng(3).exponential(size=(N_BATCHES, 40))
