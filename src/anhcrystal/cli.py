@@ -30,7 +30,7 @@ from .covariance import CovarianceKernel
 from .lattice import Boundary, Lattice, RodMode
 from .params import (ModelParams, beta_threshold, epsilon_of_m, field_threshold,
                      mass_threshold, rescale)
-from .sampler import (BoundaryCondition, Ensemble, expectation,
+from .sampler import (RQMC_BATCHES, BoundaryCondition, Ensemble, expectation,
                       periodic_bc, tempered_bc, zero_bc)
 
 _PHI_TERM = re.compile(r"phi\[\s*(-?\d+)\s*,\s*([0-9.eE+-]+)\s*,\s*(\d+)\s*\]")
@@ -75,6 +75,12 @@ def _bc_spec(cfg: dict) -> str:
 def _require_periodic(cfg: dict, what: str):
     if _bc_spec(cfg) != "periodic":
         raise ConfigError(f"{what} needs boundary = periodic, got {cfg['boundary']!r}")
+
+
+def _require_scrambles(cfg: dict):
+    """Sobol-led estimators split their draws into RQMC_BATCHES equal scrambles."""
+    if cfg["samples"] % RQMC_BATCHES:
+        raise ConfigError(f"samples must be a multiple of {RQMC_BATCHES}, got {cfg['samples']}")
 
 
 def _build_bc(cfg: dict, n_slices: int, d: int) -> BoundaryCondition:
@@ -157,6 +163,8 @@ def cmd_covariance(cfg: dict, out_dir: Path, args) -> int:
 
 
 def cmd_sample(cfg: dict, out_dir: Path, args) -> int:
+    if cfg["backend"] == "reweight":
+        _require_scrambles(cfg)
     p = model_params(cfg)
     ens = build_ensemble(p, cfg)
     factors = parse_observable(cfg.get("observable") or "phi[0,0,0]")
@@ -247,6 +255,7 @@ def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
 def cmd_uniqueness(cfg: dict, out_dir: Path, args) -> int:
     from .sampler import uniqueness_gap
 
+    _require_scrambles(cfg)
     p = model_params(cfg)
     if p.nu != 1:
         raise ConfigError(f"uniqueness tempers the two ends of a chain and needs nu = 1, "
@@ -278,6 +287,7 @@ def cmd_order_param(cfg: dict, out_dir: Path, args) -> int:
     from .sampler import order_parameter
 
     _require_periodic(cfg, "order-param")
+    _require_scrambles(cfg)
     p = model_params(cfg)
     h_values = parse_value("h", args.h_values or "0.1,0.05,0")
     sizes = parse_value("dims", args.sizes) if args.sizes else p.dims[:1]

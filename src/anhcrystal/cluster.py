@@ -40,22 +40,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
+from scipy.special import ndtr
 
 from .covariance import p_matrix
 from .grid import FieldGrid
 from .lattice import RodMode, RodPartition, rod_partition
-from .sampler import CHUNK_VALUES, Ensemble, accumulate, jackknife
+# RQMC_BATCHES and SOBOL_BITS stay importable here, where callers of the engine read them
+from .sampler import (CHUNK_VALUES, RQMC_BATCHES, SOBOL_BITS, Ensemble,  # noqa: F401
+                      accumulate, jackknife, scrambled_normals)
 
 MAX_TREE_ORDER = 8
 MAX_BF_ORDER = 7
 ORDER_CAP = {RodMode.LOW_TEMPERATURE: 3, RodMode.HIGH_TEMPERATURE: 4}
 GL_NODES = 8
-RQMC_BATCHES = 20
 _LETTERS = "abcdefgh"  # einsum subscripts of line ends and end groups; "n" is the batch axis
 
 
@@ -367,69 +366,6 @@ def block_tensor(q: list[np.ndarray], mono_pos: list[int], n_ends: int) -> np.nd
 def gauss_legendre_unit():
     x, w = np.polynomial.legendre.leggauss(GL_NODES)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-SOBOL_BITS = 30    # qmc.Sobol's default resolution
-_BIT = np.arange(SOBOL_BITS, dtype=np.uint32)
-
-
-@functools.lru_cache(maxsize=64)
-def _sobol_directions(dim: int, m: int) -> np.ndarray:
-    """Sobol direction numbers 0..m-1, (m, dim): unscrambled point 2^(j+1) - 1 is direction j."""
-    points = qmc.Sobol(dim, scramble=False).random_base2(m)
-    return (points[2 ** np.arange(1, m + 1) - 1] * 2 ** SOBOL_BITS).astype(np.uint32)
-
-
-def scrambled_normals(n_samples: int, dim: int, seed: int) -> SimpleNamespace:
-    """Standard normals from independently scrambled Sobol blocks (Owen 1997).
-
-    Rows come in RQMC_BATCHES consecutive blocks of equal size, one
-    scramble each, so the block means are independent unbiased estimates and
-    their spread is an honest error bar.  The expansion integrands are smooth
-    functions of a dozen or so normals, where this randomized quasi-Monte
-    Carlo beats plain draws severalfold in variance.
-
-    Block b equals the leading points of ``qmc.Sobol(dim, scramble=True,
-    rng=default_rng(child_b))``, child_b the b-th spawn of SeedSequence(seed),
-    bit for bit.  The engine's linear matrix scramble and digital shift
-    (Matousek 1998), drawn as the engine draws them, are applied in numpy:
-    a scramble is GF(2)-linear, so it maps the Sobol direction numbers once.
-    Returns a row source for ``accumulate``: ``rows(start, stop)`` makes
-    rows start..stop-1, whole blocks or a piece of one block, resuming the
-    Gray-code XOR at any row, so no call holds all n_samples x dim normals.
-    """
-    per = n_samples // RQMC_BATCHES
-    if per * RQMC_BATCHES != n_samples:
-        raise ValueError(f"sample count must be a multiple of {RQMC_BATCHES}")
-    m = math.ceil(math.log2(per))
-    bits = (_sobol_directions(dim, m)[:, :, None] >> _BIT) & 1  # (m, dim, k)
-    shift = np.empty((RQMC_BATCHES, dim), dtype=np.uint32)
-    directions = np.empty((RQMC_BATCHES, m, dim), dtype=np.uint32)
-    for b, child in enumerate(np.random.SeedSequence(seed).spawn(RQMC_BATCHES)):
-        rng = np.random.default_rng(child.spawn(1)[0])
-        shift_bits = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32)
-        shift[b] = (shift_bits << _BIT).sum(axis=1, dtype=np.uint32)
-        ltm = np.tril(rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
-        ltm[:, _BIT, _BIT] = 1
-        # column k of the scramble matrix as an integer (scipy's bit order
-        # reverses both axes of ltm), XORed over the bits of each direction
-        cols = (ltm[:, ::-1, ::-1] << _BIT[:, None]).sum(axis=1, dtype=np.uint32)
-        directions[b] = np.bitwise_xor.reduce(cols * bits, axis=-1)
-
-    def rows(start: int, stop: int) -> np.ndarray:
-        b, lo = divmod(start, per)
-        n_blocks = max(1, (stop - start) // per)  # whole blocks, or a piece of block b
-        hi = lo + (stop - start) // n_blocks
-        first = (lo ^ lo >> 1) >> np.arange(m) & 1 == 1  # the directions row lo XORs
-        i = np.arange(lo + 1, hi)  # each later row XORs direction trailing_zeros(i)
-        table = np.empty((n_blocks, hi - lo, dim), dtype=np.uint32)
-        table[:, 0] = np.bitwise_xor.reduce(directions[b:b + n_blocks, first], axis=1)
-        table[:, 0] ^= shift[b:b + n_blocks]
-        table[:, 1:] = directions[b:b + n_blocks, np.log2(i & -i).astype(np.intp)]
-        u = np.bitwise_xor.accumulate(table, axis=1).reshape(-1, dim) * 2.0 ** -SOBOL_BITS
-        return ndtri(0.5 + (1.0 - 1e-10) * (u - 0.5))
-
-    return SimpleNamespace(batches=RQMC_BATCHES, rows=rows)
 
 
 def gaussian_bump_mean(mean, var, delta_m: float):

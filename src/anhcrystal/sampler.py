@@ -3,7 +3,10 @@
 The grid restriction of the harmonic covariance is circulant over the space
 torus and the time circle, so a Fourier filter applied to white noise draws
 the reference field exactly (Dirichlet boxes filter sine modes in space).
-The perturbed measure reweights by exp(-S) with
+The white noise is placed straight on the real half-spectrum, in the law of
+the transform of real white noise, so a draw costs one inverse transform;
+its coordinates of largest eigenvalue come first.  The perturbed measure
+reweights by exp(-S) with
 
     S = dt * sum_slices [ sum_j V(phi_j) + sum_j h . phi_j ]
         - (J/2) * dt * sum_boundary pairs sum_slices phi_l . xi_l'
@@ -19,12 +22,16 @@ overflow; the MCMC runs on the same shifted reference.  One core serves
 every importance-sampling estimator and the cluster engine's Monte Carlo:
 ``accumulate`` sums columns over chunks of rows, from the plain generator
 stream in N_BATCHES batches or from scrambled Sobol rows
-(``cluster.scrambled_normals``) in one batch per scramble; ``jackknife``
-gives the delete-one-batch error of any ratio of column sums, and the ESS
-is Kong's (sum w)^2 / sum w^2.  Periodic draws can also come as their
-half-spectra sqrt(lambda) rfftn(z), which the filter computes anyway:
-translation-averaged two-point tables sum w |phi_hat|^2 over the draws and
-need no forward transform of their own.
+(``scrambled_normals``) in one batch per scramble; ``jackknife`` gives the
+delete-one-batch error of any ratio of column sums, and the ESS is Kong's
+(sum w)^2 / sum w^2.  The importance-sampling means of the Gibbs claims
+(``reweight_expectation``, ``gap_estimate``, ``doubled_measure_correlation``)
+are randomised quasi-Monte Carlo: each field's RQMC_MODES leading noise
+coordinates are a scrambled Sobol row and the rest plain normals
+(``sobol_led``).  Periodic draws can also come as their half-spectra
+sqrt(lambda) zeta, which the filter computes anyway: translation-averaged
+two-point tables sum w |phi_hat|^2 over the draws and need no forward
+transform of their own.
 """
 
 from __future__ import annotations
@@ -32,18 +39,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.fft
+from scipy.special import ndtri
 
 from .covariance import CovarianceKernel
 from .grid import FieldGrid
 from .lattice import Boundary, Lattice
 
 N_BATCHES = 50
+RQMC_BATCHES = 20  # independent scrambles of a scrambled Sobol row source
+RQMC_MODES = 16    # noise coordinates that Sobol-led estimators take from scrambled rows
+SOBOL_BITS = 30    # qmc.Sobol's default resolution
 MAX_CHUNK = 16384
-CHUNK_VALUES = 1 << 18  # values in one chunk of pCN proposals or cluster-term kernels (2 MB)
+CHUNK_VALUES = 1 << 18  # values in a chunk of pCN proposals, Sobol-led fields or kernels (2 MB)
 ESS_WARN_THRESHOLD = 100.0
 PCN_RHO = 0.9  # pCN mixing parameter rho in [0, 1)
 
@@ -94,15 +106,17 @@ def tempered_bc(xi: dict) -> BoundaryCondition:
 class GaussianFieldSampler:
     """Draws mean-zero fields whose covariance is the grid kernel, exactly.
 
-    Periodic boxes: phi = F^-1( sqrt(lambda) F z ) with F the space-time FFT
-    and lambda the (nonnegative) circulant spectrum.  The spectrum is real and
-    even, so the filter maps real fields to real fields, and the real
-    half-spectrum transforms (``rfftn`` / ``irfftn``, halved along time)
-    compute it with about half the work of complex ones; ``sample`` can
-    return the filtered half-spectrum itself, and ``field`` inverts it.
-    Dirichlet boxes use the orthonormal sine transform in space and the real
-    FFT in time.  Deterministic given the generator state; components are
-    independent.
+    Periodic boxes: phi = F^-1( sqrt(lambda) zeta ), with F the space-time
+    FFT, lambda the (nonnegative) circulant spectrum and zeta white noise
+    placed straight on the real half-spectrum (``noise``): zeta has the law
+    of rfftn(z) for real white noise z, so no forward transform is made.
+    Dirichlet boxes do the same in the orthonormal sine modes of space times
+    the real FFT half-spectrum of time.  ``sample`` can return the filtered
+    half-spectrum itself, and ``field`` inverts it.  The first ``n_lead``
+    real coordinates of the noise (at most RQMC_MODES), in decreasing order
+    of their eigenvalues, can be given from outside, so that randomised
+    quasi-Monte Carlo drives the modes that carry most of the variance.
+    Deterministic given the generator state; components are independent.
     """
 
     def __init__(self, kernel: CovarianceKernel, n_slices: int, d: int = 1):
@@ -115,10 +129,66 @@ class GaussianFieldSampler:
         half = self.n_slices // 2 + 1  # the nonnegative time frequencies
         self._sqrt_eig = np.sqrt(kernel.grid_eigenvalues(self.n_slices))[..., :half, None]
         self._periodic = kernel.boundary is Boundary.PERIODIC
+        # the time planes 0 and M/2 are transforms of real planes over the
+        # Fourier space axes, so Hermitian there (real on a Dirichlet box)
+        self._edges = (0, half - 1) if self.n_slices % 2 == 0 else (0,)
+        self._space = tuple(range(self.lattice.nu)) if self._periodic else ()
+        n_fourier = self.n_slices * (self.lattice.n_sites if self._periodic else 1)
+        self._scale = math.sqrt(n_fourier / 2.0)  # of each part of a complex entry
+        self._lead = self._leading_coordinates()
+        self.n_lead = len(self._lead[0])
 
     @property
     def shape(self) -> tuple:
         return self.lattice.dims + (self.n_slices, self.d)
+
+    def _conjugate_partner(self, x: np.ndarray, first: int) -> np.ndarray:
+        """x at the negated Fourier space frequencies, axes ``first``.. on."""
+        for axis in self._space:
+            x = np.roll(np.flip(x, first + axis), 1, first + axis)
+        return x
+
+    def _leading_coordinates(self) -> tuple:
+        """Where the RQMC_MODES largest-eigenvalue real coordinates of the noise sit.
+
+        Returns their positions in the float view of one field's noise, the
+        factor each takes, and the partner positions that a Hermitian edge
+        entry copies (imaginary parts negated).
+        """
+        lam = self._sqrt_eig[..., 0] ** 2
+        entry = np.arange(lam.size).reshape(lam.shape)
+        partner = self._conjugate_partner(entry, 0)
+        edge = np.zeros(lam.shape, dtype=bool)
+        edge[..., list(self._edges)] = True
+        # real and imaginary parts of bulk entries, of the first of each
+        # conjugate pair on an edge plane, and the real part of a self-conjugate one
+        free = np.stack([~edge | (entry <= partner), ~edge | (entry < partner)], axis=-1)
+        free = np.broadcast_to(free[..., None, :], lam.shape + (self.d, 2)).reshape(-1)
+        order = np.argsort(-np.repeat(lam.reshape(-1), 2 * self.d), kind="stable")
+        pos = order[free[order]][:RQMC_MODES]
+        flat, part = np.divmod(pos, 2)
+        e, c = np.divmod(flat, self.d)
+        single = edge.reshape(-1)[e] & (partner.reshape(-1)[e] == e)
+        paired = edge.reshape(-1)[e] & ~single
+        twin = 2 * (partner.reshape(-1)[e] * self.d + c) + part
+        return (pos, np.where(single, math.sqrt(2.0), 1.0) * self._scale,
+                np.flatnonzero(paired), twin[paired], np.where(part[paired] == 1, -1.0, 1.0))
+
+    def noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """White noise on the half-spectrum, shape (n, *dims, n_slices // 2 + 1, d).
+
+        It has the law of the rfftn of real white fields over the Fourier
+        axes (``rfftn(irfftn(noise))`` gives it back), drawn from ``rng`` as
+        independent normal real coordinates.
+        """
+        shape = (n,) + self._sqrt_eig.shape[:-1] + (self.d, 2)
+        zh = rng.standard_normal(shape).view(np.complex128)[..., 0]
+        zh *= self._scale
+        for t in self._edges:
+            plane = zh[..., t, :]
+            plane += np.conj(self._conjugate_partner(plane, 1))
+            plane *= math.sqrt(0.5)
+        return zh
 
     def _fourier_axes(self, ndim: int) -> tuple:
         """Space and time in a periodic box, time alone in a Dirichlet box."""
@@ -148,21 +218,29 @@ class GaussianFieldSampler:
         return scipy.fft.dstn(x, type=1, norm="ortho",
                               axes=tuple(range(time_axis - self.lattice.nu, time_axis)))
 
-    def sample(self, rng: np.random.Generator, n: int, *, spectral: bool = False) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int, *, spectral: bool = False,
+               lead=None) -> np.ndarray:
         """n independent fields, shape (n, *dims, n_slices, d).
 
         With ``spectral`` (periodic boxes only) the same fields come as their
-        half-spectra sqrt(lambda) rfftn(z) over space and time, shape
-        (n, *dims, n_slices // 2 + 1, d); ``field`` inverts them.
+        half-spectra sqrt(lambda) zeta over space and time, zeta the
+        ``noise``, shape (n, *dims, n_slices // 2 + 1, d); ``field`` inverts
+        them.  ``lead`` (n, n_lead), if given, replaces the noise coordinates
+        of the n_lead largest eigenvalues, in decreasing order.
         """
         if spectral and not self._periodic:
             raise ValueError("spectral draws need a periodic box")
-        z = rng.standard_normal((n,) + self.shape)
+        zh = self.noise(rng, n)
+        if lead is not None:
+            pos, factor, paired, twin, sign = self._lead
+            values = zh.reshape(n, -1).view(np.float64)
+            coords = np.asarray(lead, dtype=float) * factor
+            values[:, pos] = coords
+            values[:, twin] = coords[:, paired] * sign
+        zh *= self._sqrt_eig
         if spectral:
-            zh = self.spectrum(z)
-            zh *= self._sqrt_eig
             return zh
-        y = self._filter(z, self._sqrt_eig)
+        y = self.field(zh)
         return y if self._periodic else self._sine(y)
 
     def apply_covariance(self, c: np.ndarray) -> np.ndarray:
@@ -317,6 +395,71 @@ def _warn_small_ess(ess: float):
                       "estimates unreliable", RuntimeWarning, stacklevel=3)
 
 
+_BIT = np.arange(SOBOL_BITS, dtype=np.uint32)
+
+
+@lru_cache(maxsize=64)
+def _sobol_directions(dim: int, m: int) -> np.ndarray:
+    """Sobol direction numbers 0..m-1, (m, dim): unscrambled point 2^(j+1) - 1 is direction j."""
+    from scipy.stats import qmc  # its import costs most of a second, paid at first use
+
+    points = qmc.Sobol(dim, scramble=False).random_base2(m)
+    return (points[2 ** np.arange(1, m + 1) - 1] * 2 ** SOBOL_BITS).astype(np.uint32)
+
+
+def scrambled_normals(n_samples: int, dim: int, seed: int) -> SimpleNamespace:
+    """Standard normals from independently scrambled Sobol blocks (Owen 1997).
+
+    Rows come in RQMC_BATCHES consecutive blocks of equal size, one
+    scramble each, so the block means are independent unbiased estimates and
+    their spread is an honest error bar.  The expansion integrands, and the
+    Gibbs weights as functions of a field's leading modes, are smooth
+    functions of a dozen or so normals, where this randomized quasi-Monte
+    Carlo beats plain draws severalfold in variance.
+
+    Block b equals the leading points of ``qmc.Sobol(dim, scramble=True,
+    rng=default_rng(child_b))``, child_b the b-th spawn of SeedSequence(seed),
+    bit for bit.  The engine's linear matrix scramble and digital shift
+    (Matousek 1998), drawn as the engine draws them, are applied in numpy:
+    a scramble is GF(2)-linear, so it maps the Sobol direction numbers once.
+    Returns a row source for ``accumulate``: ``rows(start, stop)`` makes
+    rows start..stop-1, whole blocks or a piece of one block, resuming the
+    Gray-code XOR at any row, so no call holds all n_samples x dim normals.
+    """
+    per = n_samples // RQMC_BATCHES
+    if per * RQMC_BATCHES != n_samples:
+        raise ValueError(f"sample count must be a multiple of {RQMC_BATCHES}")
+    m = math.ceil(math.log2(per))
+    bits = (_sobol_directions(dim, m)[:, :, None] >> _BIT) & 1  # (m, dim, k)
+    shift = np.empty((RQMC_BATCHES, dim), dtype=np.uint32)
+    directions = np.empty((RQMC_BATCHES, m, dim), dtype=np.uint32)
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(RQMC_BATCHES)):
+        rng = np.random.default_rng(child.spawn(1)[0])
+        shift_bits = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32)
+        shift[b] = (shift_bits << _BIT).sum(axis=1, dtype=np.uint32)
+        ltm = np.tril(rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+        ltm[:, _BIT, _BIT] = 1
+        # column k of the scramble matrix as an integer (scipy's bit order
+        # reverses both axes of ltm), XORed over the bits of each direction
+        cols = (ltm[:, ::-1, ::-1] << _BIT[:, None]).sum(axis=1, dtype=np.uint32)
+        directions[b] = np.bitwise_xor.reduce(cols * bits, axis=-1)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        b, lo = divmod(start, per)
+        n_blocks = max(1, (stop - start) // per)  # whole blocks, or a piece of block b
+        hi = lo + (stop - start) // n_blocks
+        first = (lo ^ lo >> 1) >> np.arange(m) & 1 == 1  # the directions row lo XORs
+        i = np.arange(lo + 1, hi)  # each later row XORs direction trailing_zeros(i)
+        table = np.empty((n_blocks, hi - lo, dim), dtype=np.uint32)
+        table[:, 0] = np.bitwise_xor.reduce(directions[b:b + n_blocks, first], axis=1)
+        table[:, 0] ^= shift[b:b + n_blocks]
+        table[:, 1:] = directions[b:b + n_blocks, np.log2(i & -i).astype(np.intp)]
+        u = np.bitwise_xor.accumulate(table, axis=1).reshape(-1, dim) * 2.0 ** -SOBOL_BITS
+        return ndtri(0.5 + (1.0 - 1e-10) * (u - 0.5))
+
+    return SimpleNamespace(batches=RQMC_BATCHES, rows=rows)
+
+
 def accumulate(draw, columns, n_samples: int, seed: int, *, work=None,
                chunk: int | None = None) -> np.ndarray:
     """Per-batch column sums over ``n_samples`` rows.
@@ -324,7 +467,7 @@ def accumulate(draw, columns, n_samples: int, seed: int, *, work=None,
     The rows are the plain stream ``draw(rng, n)``, n at a time from one
     generator seeded with ``seed``, in N_BATCHES batches; or ``draw`` is a
     row source with ``batches`` and ``rows(start, stop)`` and its own seed
-    (``cluster.scrambled_normals``).  A chunk of rows is as many whole
+    (``scrambled_normals``, or the Sobol-led fields of ``sobol_led``).  A chunk of rows is as many whole
     batches as fit in ``chunk`` rows, else at most ``chunk`` rows of one
     batch; by default one batch in pieces of at most MAX_CHUNK, so memory
     stays bounded for any budget.  ``work(rows)``, if given, runs once per
@@ -364,6 +507,28 @@ def jackknife(batch_sums: np.ndarray, statistic):
     return statistic(total), np.sqrt((len(leave) - 1) / len(leave) * spread)
 
 
+def sobol_led(sampler: GaussianFieldSampler, columns, n_samples: int,
+              seed: int) -> np.ndarray:
+    """``accumulate``'s batch sums over mean-zero fields led by scrambled Sobol rows.
+
+    Each field is ``sampler.sample(rng, n, lead=rows)``: its n_lead
+    largest-eigenvalue noise coordinates come from ``scrambled_normals`` and
+    the rest are padded with plain normals from one generator seeded with
+    ``seed`` (Owen 1998), so the RQMC_BATCHES scrambles are independent
+    batches and the jackknife runs over them.  Chunks hold at most
+    CHUNK_VALUES field values, whatever the budget.
+    """
+    lead = scrambled_normals(n_samples, sampler.n_lead, seed)
+    rng = np.random.default_rng(seed)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        return sampler.sample(rng, stop - start, lead=lead.rows(start, stop))
+
+    chunk = max(1, CHUNK_VALUES // math.prod(sampler.shape))
+    return accumulate(SimpleNamespace(batches=lead.batches, rows=rows), columns,
+                      n_samples, seed, chunk=chunk)
+
+
 def _weighted_result(sums: np.ndarray, statistic, n_samples: int,
                      seed: int) -> EstimatorResult:
     """Jackknife result from batch sums whose first column is w, last w^2.
@@ -386,15 +551,18 @@ def reweight_expectation(ensemble: Ensemble, observable, n_samples: int,
     """Self-normalized importance sampling from the shifted reference Gaussian.
 
     The estimate is E[A w] / E[w] over draws that carry the exact mean shift
-    of the linear action terms, with w = exp(-dt sum V) in (0, 1]; the
-    standard error is the jackknife over batches.
+    of the linear action terms, with w = exp(-dt sum V) in (0, 1]; the draws'
+    leading modes are scrambled Sobol rows (``sobol_led``), and the standard
+    error is the jackknife over the scrambles.
     """
     def columns(phi):
+        if ensemble.linear_term is not None:
+            phi += ensemble.mean_shift
         w = ensemble.weight(phi)
         av = np.asarray(observable(phi), dtype=float)
         return w.sum(), (w * av).sum(), (w ** 2).sum()
 
-    sums = accumulate(ensemble.draw, columns, n_samples, seed)
+    sums = sobol_led(ensemble.sampler, columns, n_samples, seed)
     return _weighted_result(sums, lambda c: c[1] / c[0], n_samples, seed)
 
 
@@ -611,9 +779,10 @@ def gap_estimate(ens_xi: Ensemble, ens_eta: Ensemble, site, tau: float,
                  n_samples: int, seed: int):
     """Difference of <phi_site(tau)>'s first component under two boundary conditions.
 
-    Both expectations are computed on common reference draws after exactly
-    absorbing the linear terms into a Gaussian mean shift, so the harmonic
-    part of the gap carries no Monte Carlo noise at all.
+    Both expectations are computed on common reference draws, Sobol-led as
+    in ``sobol_led``, after exactly absorbing the linear terms into a
+    Gaussian mean shift, so the harmonic part of the gap carries no Monte
+    Carlo noise at all.
     """
     si = ens_xi.lattice.site_index(site) if not np.isscalar(site) else int(site)
     sl = ens_xi.grid.slice_of(tau)
@@ -628,7 +797,7 @@ def gap_estimate(ens_xi: Ensemble, ens_eta: Ensemble, site, tau: float,
         phi0 = psi.reshape(len(psi), -1, ens_xi.n_slices, ens_xi.d)[:, si, sl, 0]
         return w_xi.sum(), (w_xi * phi0).sum(), w_eta.sum(), (w_eta * phi0).sum()
 
-    sums = accumulate(ens_xi.sampler.sample, columns, n_samples, seed)
+    sums = sobol_led(ens_xi.sampler, columns, n_samples, seed)
     corr, stderr = jackknife(sums, lambda c: c[1] / c[0] - c[3] / c[2])
     return exact + corr, float(stderr), exact
 
@@ -663,8 +832,8 @@ def doubled_measure_correlation(ensemble: Ensemble, p1, p2, y_field: np.ndarray,
 
     The auxiliary weight replaces the one-site potential by
     b_m [e^{-d (x+y)^2/4} + e^{-d (x-y)^2/4}] at fixed trajectories y; the
-    reference Gaussian keeps zero boundary values.  Estimates should not
-    degrade as y grows.
+    reference Gaussian keeps zero boundary values, and its draws are
+    Sobol-led as in ``sobol_led``.  Estimates should not degrade as y grows.
     """
     if ensemble.bc.boundary is Boundary.PERIODIC:
         raise ValueError("the auxiliary measure is defined over zero boundary values")
@@ -680,5 +849,5 @@ def doubled_measure_correlation(ensemble: Ensemble, p1, p2, y_field: np.ndarray,
         w = np.exp(-dt * v.sum(axis=tuple(range(1, v.ndim))))
         return w.sum(), (w * obs(x)).sum(), (w ** 2).sum()
 
-    sums = accumulate(ensemble.sampler.sample, columns, n_samples, seed)
+    sums = sobol_led(ensemble.sampler, columns, n_samples, seed)
     return _weighted_result(sums, lambda c: c[1] / c[0], n_samples, seed)

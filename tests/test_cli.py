@@ -360,6 +360,26 @@ class TestScanCommands:
         assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
 
 
+class TestSobolLedBudgets:
+    # the importance-sampling estimators split their draws into 20 equal
+    # scrambles; 1,050 draws made 50 plain batches but cannot make 20
+    @pytest.mark.parametrize("command", ["sample", "uniqueness", "order-param"])
+    def test_samples_must_fill_whole_scrambles(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, d=1)
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "--out", str(out), command, "--samples", "1050"])
+        assert rc == 2
+        assert "multiple of 20" in _json_error(capsys)
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+
+    def test_a_multiple_of_20_samples(self, tmp_path):
+        cfg = write_config(tmp_path, d=1)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "sample",
+                     "--samples", "1020"]) == 0
+        assert json.loads((out / "sample.json").read_text())["n"] == 1020
+
+
 class TestPeriodicOnlyCommands:
     @pytest.mark.parametrize("argv", [["cluster", "--check", "newton-leibniz"],
                                       ["cluster", "--check", "residuals"],

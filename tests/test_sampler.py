@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -14,8 +15,8 @@ from anhcrystal.sampler import (N_BATCHES, Ensemble, EstimatorResult,
                                 GaussianFieldSampler, accumulate, boundary_mean_shift,
                                 doubled_measure_correlation, expectation, gap_estimate,
                                 jackknife, pcn_expectation, periodic_bc,
-                                reweight_expectation, tempered_bc, two_point_table,
-                                zero_bc)
+                                reweight_expectation, scrambled_normals, sobol_led,
+                                tempered_bc, two_point_table, zero_bc)
 
 
 def compatible(a: EstimatorResult, b: EstimatorResult, n_sigma: float) -> bool:
@@ -25,16 +26,18 @@ def compatible(a: EstimatorResult, b: EstimatorResult, n_sigma: float) -> bool:
 
 def truncated_two_point(ensemble: Ensemble, p1, p2, n_samples: int,
                         seed: int) -> EstimatorResult:
-    """Connected two-point function with jackknife error over batches, and Kong's ESS."""
+    """Connected two-point function on reweight_expectation's draws, with
+    jackknife error over the scrambles, and Kong's ESS."""
     obs_a = ensemble.phi_product([p1])
     obs_b = ensemble.phi_product([p2])
 
-    def columns(phi):
+    def columns(psi):
+        phi = psi + ensemble.mean_shift
         w = ensemble.weight(phi)
         av, bv = obs_a(phi), obs_b(phi)
         return w.sum(), (w * av).sum(), (w * bv).sum(), (w * av * bv).sum(), (w ** 2).sum()
 
-    sums = accumulate(ensemble.draw, columns, n_samples, seed)
+    sums = sobol_led(ensemble.sampler, columns, n_samples, seed)
     mean, stderr = jackknife(sums, lambda c: c[3] / c[0] - (c[1] / c[0]) * (c[2] / c[0]))
     total = sums.sum(axis=0)
     return EstimatorResult(mean=float(mean), stderr=float(stderr), n_samples=n_samples,
@@ -150,6 +153,74 @@ class TestGaussianSampler:
         assert abs(cross) < 4.0 * 0.5 / math.sqrt(40_000)
 
 
+NOISE_BOXES = pytest.mark.parametrize("nu, dims, boundary, n_slices, d", [
+    (1, (4,), Boundary.PERIODIC, 8, 1),
+    (1, (5,), Boundary.PERIODIC, 9, 1),
+    (2, (3, 4), Boundary.PERIODIC, 6, 1),
+    (1, (3,), Boundary.PERIODIC, 4, 2),
+    (1, (4,), Boundary.DIRICHLET, 7, 1),
+    (1, (5,), Boundary.DIRICHLET, 8, 2),
+], ids=["even", "odd", "plane", "two-component", "dirichlet", "dirichlet-two-component"])
+
+
+class ZeroNormals:
+    """A generator stand-in whose normals are all zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+class TestFourierNoise:
+    # criterion 3's exactness check, for plain and Sobol-led draws of the
+    # half-spectrum noise, on boxes with every kind of edge plane
+    @staticmethod
+    def make(nu, dims, boundary, n_slices, d):
+        kern = CovarianceKernel(Lattice(nu, dims, boundary), 1.0, 0.25, 2.0)
+        sampler = GaussianFieldSampler(kern, n_slices, d)
+        points = [(i, t) for i in range(kern.lattice.n_sites) for t in range(n_slices)]
+        return sampler, kern.grid_matrix(points, n_slices)
+
+    @NOISE_BOXES
+    @pytest.mark.parametrize("led", [False, True], ids=["plain", "sobol-led"])
+    def test_covariance_equals_grid_matrix(self, nu, dims, boundary, n_slices, d, led):
+        sampler, theo = self.make(nu, dims, boundary, n_slices, d)
+        n = 20_000
+        lead = scrambled_normals(n, sampler.n_lead, seed=4).rows(0, n) if led else None
+        phi = sampler.sample(np.random.default_rng(3), n, lead=lead).reshape(n, -1, d)
+        se = np.sqrt((np.outer(np.diag(theo), np.diag(theo)) + theo ** 2) / n)
+        for c in range(d):
+            emp = phi[..., c].T @ phi[..., c] / n
+            assert float((np.abs(emp - theo) / se).max()) < 5.0, c
+        if d == 2:
+            cross = phi[..., 0].T @ phi[..., 1] / n
+            se_cross = np.sqrt(np.outer(np.diag(theo), np.diag(theo)) / n)
+            assert float((np.abs(cross) / se_cross).max()) < 5.0
+
+    @NOISE_BOXES
+    def test_noise_is_a_half_spectrum(self, nu, dims, boundary, n_slices, d):
+        # the edge planes are filled Hermitian, so the noise is the half
+        # spectrum of its own inverse transform
+        sampler, _ = self.make(nu, dims, boundary, n_slices, d)
+        zh = sampler.noise(np.random.default_rng(8), 5)
+        axes = tuple(range(1, zh.ndim - 1)) if boundary is Boundary.PERIODIC else (zh.ndim - 2,)
+        back = scipy.fft.rfftn(sampler.field(zh.copy()), axes=axes)
+        np.testing.assert_allclose(back, zh, rtol=0, atol=1e-12 * np.abs(zh).max())
+
+    @NOISE_BOXES
+    def test_leading_coordinates_are_the_largest_modes(self, nu, dims, boundary, n_slices, d):
+        # a unit leading coordinate, and zero elsewhere, draws the field
+        # sqrt(lambda_j) e_j: orthogonal fields whose squared norms are the
+        # largest eigenvalues of the grid matrix, in decreasing order
+        sampler, theo = self.make(nu, dims, boundary, n_slices, d)
+        assert sampler.n_lead == sampler_module.RQMC_MODES
+        phi = sampler.sample(ZeroNormals(), sampler.n_lead, lead=np.eye(sampler.n_lead))
+        flat = phi.reshape(sampler.n_lead, -1)
+        gram = flat @ flat.T
+        largest = np.repeat(np.linalg.eigvalsh(theo)[::-1], d)[:sampler.n_lead]
+        np.testing.assert_allclose(np.diag(gram), largest, rtol=1e-12)
+        np.testing.assert_allclose(gram - np.diag(np.diag(gram)), 0.0, atol=1e-12 * largest[0])
+
+
 class TestRealTransforms:
     # the half-spectrum filters against the complex transforms they replace
     @pytest.mark.parametrize("nu, dims, boundary, n_slices, d", [
@@ -164,7 +235,8 @@ class TestRealTransforms:
         kern = CovarianceKernel(Lattice(nu, dims, boundary), 1.0, 0.25, 2.0)
         sampler = GaussianFieldSampler(kern, n_slices, d)
         phi = sampler.sample(np.random.default_rng(11), 7)
-        z = np.random.default_rng(11).standard_normal(phi.shape)
+        # the real white fields whose half-spectra the draws filter
+        z = sampler.field(sampler.noise(np.random.default_rng(11), 7))
         lam = kern.grid_eigenvalues(n_slices)[..., None]
         space = tuple(range(1, nu + 1))
 
@@ -526,18 +598,39 @@ class TestImportanceCore:
             res = reweight_expectation(ens, ens.mean_displacement(), 5000, seed=1)
         assert math.isfinite(res.mean) and math.isfinite(res.stderr)
 
-    def test_ess_near_n_at_light_mass_field(self):
-        # criterion 11's box at h = 0.1: the shifted draws leave only the
-        # bounded anharmonic weight, so almost every draw counts
+    @staticmethod
+    def light_mass(h):
+        """Criterion 11's box at field h."""
         params = ModelParams(m=0.01, a=1.0, b=0.5, delta=1.0, J=0.25, beta=0.2,
                              dims=(16,))
         r = rescale(params)
-        ens = Ensemble(lattice=Lattice(1, (16,)), a=params.a, J=params.J,
-                       beta_hat=r.beta_hat, n_slices=32, b_m=r.b_m,
-                       delta_m=r.delta_m, d=1, h_hat=(r.alpha * 0.1,),
-                       bc=periodic_bc())
+        return Ensemble(lattice=Lattice(1, (16,)), a=params.a, J=params.J,
+                        beta_hat=r.beta_hat, n_slices=32, b_m=r.b_m,
+                        delta_m=r.delta_m, d=1, h_hat=(r.alpha * h,),
+                        bc=periodic_bc())
+
+    def test_ess_near_n_at_light_mass_field(self):
+        # criterion 11's box at h = 0.1: the shifted draws leave only the
+        # bounded anharmonic weight, so almost every draw counts
+        ens = self.light_mass(0.1)
         res = reweight_expectation(ens, ens.mean_displacement(), 10_000, seed=5)
         assert res.ess >= 0.9 * 10_000, res
+
+    def test_sobol_led_memory_does_not_grow_with_draws(self):
+        # chunks of at most CHUNK_VALUES field values hold a 200,000-draw call
+        # on criterion 11's box to the peak of a 2,000-draw one; the plain
+        # 50-batch draws it replaced peaked at 66.6 MB in the same call
+        ens = self.light_mass(0.1)
+        obs = ens.mean_displacement()
+        reweight_expectation(ens, obs, 2_000, seed=1)  # loads scipy's Sobol table once
+        peaks = []
+        for n in (2_000, 200_000):
+            tracemalloc.start()
+            reweight_expectation(ens, obs, n, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+        assert peaks[1] <= 66.6e6, peaks
 
     class IndexRows:
         """A row source whose rows are their own indices; records each request."""
