@@ -30,7 +30,7 @@ from .covariance import CovarianceKernel
 from .lattice import Boundary, Lattice, RodMode
 from .params import (ModelParams, beta_threshold, epsilon_of_m, field_threshold,
                      mass_threshold, rescale)
-from .sampler import (RQMC_BATCHES, BoundaryCondition, Ensemble, expectation,
+from .sampler import (N_BATCHES, RQMC_BATCHES, BoundaryCondition, Ensemble, expectation,
                       periodic_bc, tempered_bc, zero_bc)
 
 _PHI_TERM = re.compile(r"phi\[\s*(-?\d+)\s*,\s*([0-9.eE+-]+)\s*,\s*(\d+)\s*\]")
@@ -50,17 +50,34 @@ def parse_observable(text: str):
     return factors
 
 
-def _load_tempered_file(path: str, n_slices: int, d: int) -> dict:
+def _load_tempered_file(path: str, box: Lattice, n_slices: int, d: int) -> dict:
     """CSV columns: site, slice, component, value.  Sites are coordinates of
-    the outside layer, semicolon-joined for nu > 1 (plain integer for nu=1)."""
+    the outside layer, semicolon-joined for nu > 1 (plain integer for nu=1).
+    A row that does not parse, or names a site off that layer or a slice or
+    component off the grid, is an error that names the file and line."""
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read tempered boundary file {path}: {exc.strerror}") from None
+    outside = {site for _, site in box.boundary_pairs()}
     xi: dict = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+    with fh:
+        rows = csv.reader(fh)
+        for row in rows:
             if not row or row[0].startswith("#"):
                 continue
-            coords = tuple(int(c) for c in row[0].split(";"))
-            traj = xi.setdefault(coords, np.zeros((n_slices, d)))
-            traj[int(row[1]), int(row[2])] = float(row[3])
+            where = f"tempered boundary file {path}, line {rows.line_num}"
+            try:
+                coords = tuple(int(c) for c in row[0].split(";"))
+                sl, comp, value = int(row[1]), int(row[2]), float(row[3])
+            except (ValueError, IndexError):
+                raise ConfigError(f"{where}: expected site, slice, component, value") from None
+            if coords not in outside:
+                raise ConfigError(f"{where}: site {row[0]} is not in the box's outside layer")
+            if not (0 <= sl < n_slices and 0 <= comp < d):
+                raise ConfigError(f"{where}: slice {sl} or component {comp} is off the "
+                                  f"grid of {n_slices} slices and {d} components")
+            xi.setdefault(coords, np.zeros((n_slices, d)))[sl, comp] = value
     return xi
 
 
@@ -77,18 +94,20 @@ def _require_periodic(cfg: dict, what: str):
         raise ConfigError(f"{what} needs boundary = periodic, got {cfg['boundary']!r}")
 
 
-def _require_scrambles(cfg: dict):
-    """Sobol-led estimators split their draws into RQMC_BATCHES equal scrambles."""
-    if cfg["samples"] % RQMC_BATCHES:
-        raise ConfigError(f"samples must be a multiple of {RQMC_BATCHES}, got {cfg['samples']}")
+def _require_batches(cfg: dict, batches: int):
+    """Estimators split their draws into equal batches: N_BATCHES of a plain
+    stream, RQMC_BATCHES of scrambled rows; a command drawing both needs both."""
+    if cfg["samples"] % batches:
+        raise ConfigError(f"samples must be a multiple of {batches}, got {cfg['samples']}")
 
 
-def _build_bc(cfg: dict, n_slices: int, d: int) -> BoundaryCondition:
+def _build_bc(cfg: dict, params: ModelParams, n_slices: int) -> BoundaryCondition:
     spec = _bc_spec(cfg)
     if spec == "periodic":
         return periodic_bc()
     if spec.startswith("tempered:"):
-        return tempered_bc(_load_tempered_file(spec.split(":", 1)[1], n_slices, d))
+        box = Lattice(nu=params.nu, dims=params.dims, boundary=Boundary.DIRICHLET)
+        return tempered_bc(_load_tempered_file(spec.split(":", 1)[1], box, n_slices, params.d))
     return zero_bc()
 
 
@@ -98,7 +117,7 @@ def build_ensemble(params: ModelParams, cfg: dict) -> Ensemble:
         raise ConfigError("sampling requires finite beta; covariance formulas "
                           "support beta = inf")
     n_slices = max(2, round(cfg["slices_per_unit"] * r.beta_hat))
-    bc = _build_bc(cfg, n_slices, params.d)
+    bc = _build_bc(cfg, params, n_slices)
     lat = Lattice(nu=params.nu, dims=params.dims, boundary=bc.boundary)
     return Ensemble(lattice=lat, a=params.a, J=params.J, beta_hat=r.beta_hat,
                     n_slices=n_slices, b_m=r.b_m, delta_m=r.delta_m, d=params.d,
@@ -164,7 +183,7 @@ def cmd_covariance(cfg: dict, out_dir: Path, args) -> int:
 
 def cmd_sample(cfg: dict, out_dir: Path, args) -> int:
     if cfg["backend"] == "reweight":
-        _require_scrambles(cfg)
+        _require_batches(cfg, RQMC_BATCHES)
     p = model_params(cfg)
     ens = build_ensemble(p, cfg)
     factors = parse_observable(cfg.get("observable") or "phi[0,0,0]")
@@ -212,6 +231,9 @@ def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
         payload["ok"] = all(row["ok"] for row in payload["orders"].values())
     else:
         _require_periodic(cfg, f"cluster --check {check}")
+        # R1 and the IBP remainder draw plain batches; later orders also draw scrambles
+        plain_only = check == "newton-leibniz" or cfg["order"] < 2
+        _require_batches(cfg, N_BATCHES if plain_only else math.lcm(N_BATCHES, RQMC_BATCHES))
         p = model_params(cfg)
         mode = RodMode(cfg["mode"])
         ens = build_ensemble(p, cfg)
@@ -255,7 +277,7 @@ def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
 def cmd_uniqueness(cfg: dict, out_dir: Path, args) -> int:
     from .sampler import uniqueness_gap
 
-    _require_scrambles(cfg)
+    _require_batches(cfg, RQMC_BATCHES)
     p = model_params(cfg)
     if p.nu != 1:
         raise ConfigError(f"uniqueness tempers the two ends of a chain and needs nu = 1, "
@@ -287,7 +309,7 @@ def cmd_order_param(cfg: dict, out_dir: Path, args) -> int:
     from .sampler import order_parameter
 
     _require_periodic(cfg, "order-param")
-    _require_scrambles(cfg)
+    _require_batches(cfg, RQMC_BATCHES)
     p = model_params(cfg)
     h_values = parse_value("h", args.h_values or "0.1,0.05,0")
     sizes = parse_value("dims", args.sizes) if args.sizes else p.dims[:1]

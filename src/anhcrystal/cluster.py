@@ -48,8 +48,8 @@ from .covariance import p_matrix
 from .grid import FieldGrid
 from .lattice import RodMode, RodPartition, rod_partition
 # RQMC_BATCHES and SOBOL_BITS stay importable here, where callers of the engine read them
-from .sampler import (CHUNK_VALUES, RQMC_BATCHES, SOBOL_BITS, Ensemble,  # noqa: F401
-                      accumulate, jackknife, scrambled_normals)
+from .sampler import (RQMC_BATCHES, SOBOL_BITS, Ensemble, accumulate,  # noqa: F401
+                      jackknife, map_rows, plain_stream, scrambled_normals)
 
 MAX_TREE_ORDER = 8
 MAX_BF_ORDER = 7
@@ -588,11 +588,10 @@ class ClusterInstance:
         Each row draws phi = L(s) z from the interpolated kernel on the
         blocks' own points, and every tree is scored on that phi with its
         weight f(eta; s); the Gibbs weight multiplies the tree sum once.
-        ``accumulate`` does this per-row work once per chunk of rows whose
-        kernels hold at most CHUNK_VALUES values: whole scrambles when they
-        fit, pieces of one scramble otherwise.  Trees share rows, so the
-        error is the jackknife error of the per-row tree sum over the
-        scrambles.  The empty sequence is order 1: no s, the one tree
+        ``map_rows`` does this work once per chunk, whose n_pts^2-value
+        kernels ``accumulate`` bounds.  Trees share rows, so the error is the
+        jackknife error of the per-row tree sum over the scrambles.  The
+        empty sequence is order 1: no s, the one tree
         ``Tree(())`` with no lines and f = 1, so K is the block expectation of
         A exp(-V(X_1)) under the X_1-restricted kernel.
         """
@@ -609,9 +608,8 @@ class ClusterInstance:
             ks, weight = self._contract(trees, blocks, phi)
             return weight * sum(f_factor(tree, s) * k for tree, k in zip(trees, ks))
 
-        sums = accumulate(scrambled_normals(n_samples, n - 1 + n_pts, seed),
-                          lambda v: (len(v), v.sum()), n_samples, seed, work=work,
-                          chunk=max(1, CHUNK_VALUES // n_pts ** 2))
+        source = map_rows(scrambled_normals(n_samples, n - 1 + n_pts, seed), work, n_pts ** 2)
+        sums = accumulate(source, lambda v: (len(v), v.sum()), n_samples)
         k, dk = jackknife(sums, lambda c: c[1] / c[0])
         return float(k), float(dk)
 
@@ -638,7 +636,8 @@ class ClusterInstance:
                 self.gibbs_weight(flat, pts).sum() if pts is not None else float(len(flat))
                 for pts in comps]
 
-        return accumulate(self.ensemble.sampler.sample, columns, n_samples, seed)
+        fields = plain_stream(self.ensemble.sampler.sample, self.grid.n_points, seed)
+        return accumulate(fields, columns, n_samples)
 
     def partition_weight(self, n_samples: int, seed: int) -> tuple[float, float]:
         """Z = E[exp(-V(T))] under the reference measure, with jackknife stderr."""
@@ -647,8 +646,8 @@ class ClusterInstance:
         def columns(phi):
             return len(phi), self.gibbs_weight(phi.reshape(len(phi), -1), all_pts).sum()
 
-        z, dz = jackknife(accumulate(self.ensemble.sampler.sample, columns, n_samples, seed),
-                          lambda c: c[1] / c[0])
+        fields = plain_stream(self.ensemble.sampler.sample, self.grid.n_points, seed)
+        z, dz = jackknife(accumulate(fields, columns, n_samples), lambda c: c[1] / c[0])
         return float(z), float(dz)
 
     def order_contribution(self, n: int, n_samples: int, seed: int) -> tuple[float, float]:
@@ -692,8 +691,9 @@ class ClusterInstance:
             cut = self.weighted_observable(z @ cut_root.T)[0]
             return (coupled - cut).sum(), coupled.sum(), cut.sum(), weight.sum()
 
-        sums = accumulate(lambda rng, n: rng.standard_normal((n, self.grid.n_points)),
-                          columns, n_samples, seed)
+        normals = plain_stream(lambda rng, n: rng.standard_normal((n, self.grid.n_points)),
+                               self.grid.n_points, seed)
+        sums = accumulate(normals, columns, n_samples)
         values, errors = jackknife(sums, lambda c: c[:3] / c[3])
         return tuple(float(x) for pair in zip(values, errors) for x in pair)
 
@@ -713,9 +713,8 @@ class ClusterInstance:
         are scrambled Sobol rows.  Z comes from the same rows drawn through
         the root of the full kernel, so the residual is a self-normalised
         ratio with one jackknife over the scrambles.  Every root is factored
-        once per call; ``accumulate`` then feeds the rows in chunks of at
-        most CHUNK_VALUES normals (whole scrambles when they fit), so memory
-        does not grow with the row count.  Returns (residual, stderr).
+        once per call, and ``accumulate``'s bounded chunks keep memory flat in
+        the row count.  Returns (residual, stderr).
         """
         tree = Tree(parent=(1,))
         nodes, weights = gauss_legendre_unit()
@@ -742,9 +741,9 @@ class ClusterInstance:
                     acc += w * (k * weight) * (end - end_cut)
             return np.stack([acc, self.gibbs_weight(z @ full_root.T, slice(None))], axis=1)
 
-        sums = accumulate(scrambled_normals(n_samples, self.grid.n_points, seed),
-                          lambda v: v.sum(axis=0), n_samples, seed, work=work,
-                          chunk=max(1, CHUNK_VALUES // self.grid.n_points))
+        source = map_rows(scrambled_normals(n_samples, self.grid.n_points, seed), work,
+                          self.grid.n_points)
+        sums = accumulate(source, lambda v: v.sum(axis=0), n_samples)
         resid, dresid = jackknife(sums, lambda c: c[0] / c[1])
         return float(resid), float(dresid)
 
@@ -856,8 +855,9 @@ def newton_leibniz_report(instance: ClusterInstance, n_samples: int,
         coupled = instance.sample_block(blocks, np.array([1.0]), z)[1]
         return ibp.sum(), instance.gibbs_weight(coupled, slice(None)).sum()
 
-    sums = accumulate(lambda rng, n: rng.standard_normal((n, instance.grid.n_points)),
-                      columns, n_samples, seed + 5)
+    normals = plain_stream(lambda rng, n: rng.standard_normal((n, instance.grid.n_points)),
+                           instance.grid.n_points, seed + 5)
+    sums = accumulate(normals, columns, n_samples)
     ibp, dibp = jackknife(sums, lambda c: c[0] / c[1])
     return SplitReport(direct=(direct, ddirect), term_one=(term_one, dterm_one),
                        remainder=(r1, dr1), remainder_ibp=(float(ibp), float(dibp)))

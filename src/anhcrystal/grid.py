@@ -38,6 +38,9 @@ class FieldGrid:
         return self.lattice.n_sites * self.n_slices
 
     def point(self, site_index: int, slice_index: int) -> int:
+        """Flat id of a site of the box at a slice, which is taken cyclically."""
+        if not 0 <= site_index < self.lattice.n_sites:
+            raise ValueError(f"site {site_index} is outside the {self.lattice.n_sites}-site box")
         return site_index * self.n_slices + (slice_index % self.n_slices)
 
     def point_pair(self, flat: int) -> tuple[int, int]:

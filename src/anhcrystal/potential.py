@@ -119,27 +119,24 @@ def derivative_bound_check(n_max: int, grid, b_m: float, delta_m: float) -> Boun
     x = np.asarray(grid, dtype=float)
     envelope = np.exp(-0.25 * delta_m * x ** 2)
     eder = gibbs_factor_derivatives(x, n_max, b_m, delta_m)
+    # (bound, n, derivative, its bound over the envelope)
+    bounds = [("prototype", n, nth_derivative(x, n, b_m, delta_m),
+               b_m * 2.0 ** n * delta_m ** (n / 2.0) * math.sqrt(math.factorial(n)))
+              for n in range(n_max + 1)]
+    bounds += [("gibbs-factor", n, eder[n],
+                2.0 ** n * b_m * delta_m ** (n / 2.0) * math.factorial(n))
+               for n in range(1, n_max + 1)]
     max_ratio = 0.0
-    for n in range(n_max + 1):
-        lhs = np.abs(nth_derivative(x, n, b_m, delta_m))
-        rhs = b_m * 2.0 ** n * delta_m ** (n / 2.0) * math.sqrt(math.factorial(n)) * envelope
+    for name, n, derivative, factor in bounds:
+        lhs = np.abs(derivative)
+        rhs = factor * envelope
         ratio = lhs / np.where(rhs > 0, rhs, np.inf)
         max_ratio = max(max_ratio, float(ratio.max(initial=0.0)))
         bad = np.where(lhs > rhs * (1.0 + 1e-12))[0]
         if bad.size:
             i = int(bad[0])
-            return BoundReport(False, ("prototype", n, float(x[i]), float(lhs[i]),
-                                       float(rhs[i])), max_ratio)
-    for n in range(1, n_max + 1):
-        lhs = np.abs(eder[n])
-        rhs = 2.0 ** n * b_m * delta_m ** (n / 2.0) * math.factorial(n) * envelope
-        ratio = lhs / np.where(rhs > 0, rhs, np.inf)
-        max_ratio = max(max_ratio, float(ratio.max(initial=0.0)))
-        bad = np.where(lhs > rhs * (1.0 + 1e-12))[0]
-        if bad.size:
-            i = int(bad[0])
-            return BoundReport(False, ("gibbs-factor", n, float(x[i]), float(lhs[i]),
-                                       float(rhs[i])), max_ratio)
+            return BoundReport(False, (name, n, float(x[i]), float(lhs[i]), float(rhs[i])),
+                               max_ratio)
     return BoundReport(True, None, max_ratio)
 
 

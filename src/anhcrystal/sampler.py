@@ -20,10 +20,10 @@ sampling draws phi = psi + m and weights it by exp(-dt sum V(phi)) alone:
 for every field and boundary the weight lies in (0, 1] and no log-weight can
 overflow; the MCMC runs on the same shifted reference.  One core serves
 every importance-sampling estimator and the cluster engine's Monte Carlo:
-``accumulate`` sums columns over chunks of rows, from the plain generator
-stream in N_BATCHES batches or from scrambled Sobol rows
-(``scrambled_normals``) in one batch per scramble; ``jackknife`` gives the
-delete-one-batch error of any ratio of column sums, and the ESS is Kong's
+``accumulate`` sums columns over chunks of rows of a row source, the plain
+generator stream (``plain_stream``) in N_BATCHES batches or scrambled Sobol
+rows (``scrambled_normals``) in one batch per scramble; ``jackknife`` gives
+the delete-one-batch error of any ratio of column sums, and the ESS is Kong's
 (sum w)^2 / sum w^2.  The importance-sampling means of the Gibbs claims
 (``reweight_expectation``, ``gap_estimate``, ``doubled_measure_correlation``)
 are randomised quasi-Monte Carlo: each field's RQMC_MODES leading noise
@@ -54,8 +54,7 @@ N_BATCHES = 50
 RQMC_BATCHES = 20  # independent scrambles of a scrambled Sobol row source
 RQMC_MODES = 16    # noise coordinates that Sobol-led estimators take from scrambled rows
 SOBOL_BITS = 30    # qmc.Sobol's default resolution
-MAX_CHUNK = 16384
-CHUNK_VALUES = 1 << 18  # values in a chunk of pCN proposals, Sobol-led fields or kernels (2 MB)
+CHUNK_VALUES = 1 << 18  # values in a chunk of rows or of pCN proposals (2 MB)
 ESS_WARN_THRESHOLD = 100.0
 PCN_RHO = 0.9  # pCN mixing parameter rho in [0, 1)
 
@@ -278,6 +277,11 @@ class Ensemble:
             raise ValueError("lattice boundary and boundary condition disagree")
         if self.h_hat and len(self.h_hat) != self.d:
             raise ValueError("h_hat must have d components")
+        if self.bc.xi:
+            outside = {site for _, site in self.lattice.boundary_pairs()}
+            stray = [site for site in self.bc.xi if site not in outside]
+            if stray:
+                raise ValueError(f"tempered trajectories at {stray}, off the box's outside layer")
 
     @cached_property
     def kernel(self) -> CovarianceKernel:
@@ -363,13 +367,15 @@ class Ensemble:
         idx = []
         for site, tau, comp in factors:
             si = site if np.isscalar(site) else self.lattice.site_index(site)
-            idx.append((int(si), self.grid.slice_of(tau), int(comp)))
+            if not 0 <= comp < self.d:
+                raise ValueError(f"component {comp} is not one of the field's {self.d}")
+            idx.append((self.grid.point(int(si), self.grid.slice_of(tau)), int(comp)))
 
         def observable(phi: np.ndarray) -> np.ndarray:
-            flat = phi.reshape(phi.shape[0], self.lattice.n_sites, self.n_slices, self.d)
+            flat = phi.reshape(phi.shape[0], self.grid.n_points, self.d)
             out = np.ones(phi.shape[0])
-            for si, sl, comp in idx:
-                out = out * flat[:, si, sl, comp]
+            for pt, comp in idx:
+                out = out * flat[:, pt, comp]
             return out
 
         return observable
@@ -422,8 +428,8 @@ def scrambled_normals(n_samples: int, dim: int, seed: int) -> SimpleNamespace:
     bit for bit.  The engine's linear matrix scramble and digital shift
     (Matousek 1998), drawn as the engine draws them, are applied in numpy:
     a scramble is GF(2)-linear, so it maps the Sobol direction numbers once.
-    Returns a row source for ``accumulate``: ``rows(start, stop)`` makes
-    rows start..stop-1, whole blocks or a piece of one block, resuming the
+    Returns a row source of ``dim`` values a row: ``rows(start, stop)``
+    makes rows start..stop-1, whole blocks or a piece of one, resuming the
     Gray-code XOR at any row, so no call holds all n_samples x dim normals.
     """
     per = n_samples // RQMC_BATCHES
@@ -457,38 +463,45 @@ def scrambled_normals(n_samples: int, dim: int, seed: int) -> SimpleNamespace:
         u = np.bitwise_xor.accumulate(table, axis=1).reshape(-1, dim) * 2.0 ** -SOBOL_BITS
         return ndtri(0.5 + (1.0 - 1e-10) * (u - 0.5))
 
-    return SimpleNamespace(batches=RQMC_BATCHES, rows=rows)
+    return SimpleNamespace(batches=RQMC_BATCHES, size=dim, rows=rows)
 
 
-def accumulate(draw, columns, n_samples: int, seed: int, *, work=None,
-               chunk: int | None = None) -> np.ndarray:
-    """Per-batch column sums over ``n_samples`` rows.
+def plain_stream(draw, size: int, seed: int) -> SimpleNamespace:
+    """N_BATCHES batches of rows of ``size`` values, ``draw(rng, n)`` from one
+    generator seeded with ``seed`` and asked for in order."""
+    rng = np.random.default_rng(seed)
+    return SimpleNamespace(batches=N_BATCHES, size=size,
+                           rows=lambda start, stop: draw(rng, stop - start))
 
-    The rows are the plain stream ``draw(rng, n)``, n at a time from one
-    generator seeded with ``seed``, in N_BATCHES batches; or ``draw`` is a
-    row source with ``batches`` and ``rows(start, stop)`` and its own seed
-    (``scrambled_normals``, or the Sobol-led fields of ``sobol_led``).  A chunk of rows is as many whole
-    batches as fit in ``chunk`` rows, else at most ``chunk`` rows of one
-    batch; by default one batch in pieces of at most MAX_CHUNK, so memory
-    stays bounded for any budget.  ``work(rows)``, if given, runs once per
-    chunk and returns an array with a leading row axis; ``columns`` gets
-    each batch's slice of it (or of the rows) and returns the slice's sum of
-    each column (scalars, or arrays of one shape).
-    Returns shape (batches, n_columns, ...).
+
+def map_rows(source, work, size: int) -> SimpleNamespace:
+    """``source`` with ``work(rows)``, an array with a leading row axis, made
+    once per chunk; ``size`` counts a row's values in the work too."""
+    return SimpleNamespace(batches=source.batches, size=size,
+                           rows=lambda start, stop: work(source.rows(start, stop)))
+
+
+def accumulate(source, columns, n_samples: int) -> np.ndarray:
+    """Per-batch column sums over ``n_samples`` rows of a row source.
+
+    ``source`` has ``batches``, ``size`` and ``rows(start, stop)``, which
+    makes rows start..stop-1 (``plain_stream``, ``scrambled_normals``,
+    ``map_rows``).  A chunk of rows holds at most CHUNK_VALUES // size rows
+    (at least one): as many whole batches as fit, else a piece of one batch,
+    so memory stays bounded for any budget.  ``columns`` gets each batch's
+    slice of a chunk and returns the slice's sum of each column (scalars, or
+    arrays of one shape).  Returns shape (batches, n_columns, ...).
     """
-    batches = getattr(draw, "batches", N_BATCHES)
-    if n_samples % batches != 0:
-        raise ValueError(f"sample count must be a multiple of {batches} batches")
-    per = n_samples // batches
-    rng = np.random.default_rng(seed)  # the plain stream, asked for in order
-    rows = getattr(draw, "rows", None) or (lambda start, stop: draw(rng, stop - start))
-    chunk = min(MAX_CHUNK, per) if chunk is None else chunk
+    if n_samples % source.batches != 0:
+        raise ValueError(f"sample count must be a multiple of {source.batches} batches")
+    per = n_samples // source.batches
+    chunk = max(1, CHUNK_VALUES // source.size)
     group = max(1, chunk // per) * per  # the whole batches one chunk can hold
     starts = [lo for first in range(0, n_samples, group)
               for lo in range(first, min(first + group, n_samples), min(chunk, group))]
-    sums = [0.0] * batches
+    sums = [0.0] * source.batches
     for lo, hi in zip(starts, starts[1:] + [n_samples]):
-        values = rows(lo, hi) if work is None else work(rows(lo, hi))
+        values = source.rows(lo, hi)
         for b in range(lo // per, (hi - 1) // per + 1):
             part = values[max(lo, b * per) - lo:(b + 1) * per - lo]
             sums[b] = sums[b] + np.asarray(columns(part), dtype=float)
@@ -507,26 +520,19 @@ def jackknife(batch_sums: np.ndarray, statistic):
     return statistic(total), np.sqrt((len(leave) - 1) / len(leave) * spread)
 
 
-def sobol_led(sampler: GaussianFieldSampler, columns, n_samples: int,
-              seed: int) -> np.ndarray:
-    """``accumulate``'s batch sums over mean-zero fields led by scrambled Sobol rows.
+def sobol_led(sampler: GaussianFieldSampler, n_samples: int, seed: int) -> SimpleNamespace:
+    """The row source of mean-zero fields led by scrambled Sobol rows.
 
     Each field is ``sampler.sample(rng, n, lead=rows)``: its n_lead
     largest-eigenvalue noise coordinates come from ``scrambled_normals`` and
     the rest are padded with plain normals from one generator seeded with
     ``seed`` (Owen 1998), so the RQMC_BATCHES scrambles are independent
-    batches and the jackknife runs over them.  Chunks hold at most
-    CHUNK_VALUES field values, whatever the budget.
+    batches and the jackknife runs over them.
     """
-    lead = scrambled_normals(n_samples, sampler.n_lead, seed)
     rng = np.random.default_rng(seed)
-
-    def rows(start: int, stop: int) -> np.ndarray:
-        return sampler.sample(rng, stop - start, lead=lead.rows(start, stop))
-
-    chunk = max(1, CHUNK_VALUES // math.prod(sampler.shape))
-    return accumulate(SimpleNamespace(batches=lead.batches, rows=rows), columns,
-                      n_samples, seed, chunk=chunk)
+    return map_rows(scrambled_normals(n_samples, sampler.n_lead, seed),
+                    lambda lead: sampler.sample(rng, len(lead), lead=lead),
+                    math.prod(sampler.shape))
 
 
 def _weighted_result(sums: np.ndarray, statistic, n_samples: int,
@@ -562,7 +568,7 @@ def reweight_expectation(ensemble: Ensemble, observable, n_samples: int,
         av = np.asarray(observable(phi), dtype=float)
         return w.sum(), (w * av).sum(), (w ** 2).sum()
 
-    sums = sobol_led(ensemble.sampler, columns, n_samples, seed)
+    sums = accumulate(sobol_led(ensemble.sampler, n_samples, seed), columns, n_samples)
     return _weighted_result(sums, lambda c: c[1] / c[0], n_samples, seed)
 
 
@@ -675,7 +681,8 @@ def two_point_table(ensemble: Ensemble, time_lag, n_samples: int, seed: int):
         corr = sampler.field(np.tensordot(w, power, axes=(0, 0)))[..., 0] / norm
         return np.broadcast_arrays(w.sum(), corr[..., time_lag], (w @ total) / norm)
 
-    sums = accumulate(partial(ensemble.draw, spectral=True), columns, n_samples, seed)
+    source = plain_stream(partial(ensemble.draw, spectral=True), math.prod(sampler.shape), seed)
+    sums = accumulate(source, columns, n_samples)
     return jackknife(sums, lambda c: c[1] / c[0] - (c[2] / c[0]) ** 2)
 
 
@@ -797,7 +804,7 @@ def gap_estimate(ens_xi: Ensemble, ens_eta: Ensemble, site, tau: float,
         phi0 = psi.reshape(len(psi), -1, ens_xi.n_slices, ens_xi.d)[:, si, sl, 0]
         return w_xi.sum(), (w_xi * phi0).sum(), w_eta.sum(), (w_eta * phi0).sum()
 
-    sums = sobol_led(ens_xi.sampler, columns, n_samples, seed)
+    sums = accumulate(sobol_led(ens_xi.sampler, n_samples, seed), columns, n_samples)
     corr, stderr = jackknife(sums, lambda c: c[1] / c[0] - c[3] / c[2])
     return exact + corr, float(stderr), exact
 
@@ -849,5 +856,5 @@ def doubled_measure_correlation(ensemble: Ensemble, p1, p2, y_field: np.ndarray,
         w = np.exp(-dt * v.sum(axis=tuple(range(1, v.ndim))))
         return w.sum(), (w * obs(x)).sum(), (w ** 2).sum()
 
-    sums = sobol_led(ensemble.sampler, columns, n_samples, seed)
+    sums = accumulate(sobol_led(ensemble.sampler, n_samples, seed), columns, n_samples)
     return _weighted_result(sums, lambda c: c[1] / c[0], n_samples, seed)

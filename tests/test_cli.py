@@ -279,6 +279,27 @@ class TestClusterCommand:
         assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
 
 
+    @pytest.mark.parametrize("check, samples, rule", [("residuals", "1050", "multiple of 100"),
+                                                     ("newton-leibniz", "1020", "multiple of 50")])
+    def test_samples_checked_before_any_order_runs(self, tmp_path, capsys, check, samples, rule):
+        # R1 and the IBP remainder draw 50 plain batches, and later orders 20
+        # scrambles too, so residuals need a multiple of 100
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "cluster", "--check", check, "--samples", samples])
+        err = capsys.readouterr().err
+        assert rc == 2 and "order 1 done" not in err
+        assert rule in json.loads(err.strip().splitlines()[-1])["error"]
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+
+    def test_observable_off_the_box_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "cluster", "--check", "newton-leibniz", "--samples", "1000",
+                   "--observable", "phi[9,0.5,0]*phi[9,0.5,0]"])
+        assert rc == 2
+        assert "site 9 is outside the 8-site box" in _json_error(capsys)
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+
+
 class TestScanCommands:
     SMALL = ["--samples", "2000"]
 
@@ -378,6 +399,56 @@ class TestSobolLedBudgets:
         assert main(["--config", str(cfg), "--out", str(out), "sample",
                      "--samples", "1020"]) == 0
         assert json.loads((out / "sample.json").read_text())["n"] == 1020
+
+
+class TestSampleInputs:
+    # the default box is an 8-site chain with 32 slices and one component
+    @pytest.mark.parametrize("observable, message", [
+        ("phi[9,0,0]", "site 9 is outside the 8-site box"),
+        ("phi[-1,0,0]", "site -1 is outside the 8-site box"),
+        ("phi[0,0,1]", "component 1 is not one of the field's 1"),
+    ])
+    def test_observable_off_the_box_rejected(self, tmp_path, capsys, observable, message):
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "sample", "--samples", "1000", "--observable", observable])
+        assert rc == 2
+        assert message in _json_error(capsys)
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+
+    @pytest.mark.parametrize("rows, line, message", [
+        ("-1,0,0,1.0\n8,40,0,1.0\n", 2, "slice 40"),
+        ("8,-1,0,1.0\n", 1, "slice -1"),
+        ("# site,slice,component,value\n3,0,0,1.0\n", 2, "site 3 is not in the box's outside layer"),
+        ("8,0,0\n", 1, "expected site, slice, component, value"),
+    ])
+    def test_bad_tempered_row_rejected_with_file_and_line(self, tmp_path, capsys, rows, line,
+                                                          message):
+        path = tmp_path / "xi.csv"
+        path.write_text(rows)
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "sample", "--samples", "1000",
+                   "--boundary", f"tempered:{path}"])
+        assert rc == 2
+        error = _json_error(capsys)
+        assert f"{path}, line {line}" in error and message in error, error
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+
+    def test_missing_tempered_file_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "absent.csv"
+        rc = main(["--out", str(out), "sample", "--samples", "1000",
+                   "--boundary", f"tempered:{path}"])
+        assert rc == 2
+        assert f"cannot read tempered boundary file {path}" in _json_error(capsys)
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+
+    def test_tempered_file_fills_the_two_ends(self, tmp_path):
+        path = tmp_path / "xi.csv"
+        path.write_text("# site,slice,component,value\n-1,0,0,1.0\n8,31,0,2.0\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "sample", "--samples", "1000",
+                     "--boundary", f"tempered:{path}"]) == 0
+        assert json.loads((out / "sample.json").read_text())["n"] == 1000
 
 
 class TestPeriodicOnlyCommands:

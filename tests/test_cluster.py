@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from anhcrystal import cluster as cluster_module
+from anhcrystal import sampler as sampler_module
 from anhcrystal.cluster import (RQMC_BATCHES, ClusterInstance, PolyExp, SymbolicTerm,
                                 Tree, battle_federbush_sum, block_tensor, delta_apply,
                                 derivative_ladder, enumerate_trees,
@@ -18,7 +18,7 @@ from anhcrystal.cluster import (RQMC_BATCHES, ClusterInstance, PolyExp, Symbolic
                                 scrambled_normals)
 from anhcrystal.lattice import Lattice, RodMode
 from anhcrystal.potential import nth_derivative
-from anhcrystal.sampler import (Ensemble, accumulate, jackknife, periodic_bc,
+from anhcrystal.sampler import (Ensemble, accumulate, jackknife, periodic_bc, plain_stream,
                                 reweight_expectation)
 
 
@@ -97,7 +97,8 @@ def separate_pass_first_step(inst, n_samples, seed):
     def draw(rng, n):
         return rng.standard_normal((n, inst.grid.n_points))
 
-    diff, ddiff = jackknife(accumulate(draw, columns, n_samples, seed), lambda c: c[1] / c[0])
+    normals = plain_stream(draw, inst.grid.n_points, seed)
+    diff, ddiff = jackknife(accumulate(normals, columns, n_samples), lambda c: c[1] / c[0])
     z, dz = inst.partition_weight(n_samples, seed + 1)
     return diff / z, math.hypot(ddiff / z, diff * dz / z ** 2)
 
@@ -408,7 +409,7 @@ class TestClusterTerms:
             monkeypatch.setattr(inst, name, lambda *args, _method=method: sizes.extend(
                 a.size for a in args if isinstance(a, np.ndarray)) or _method(*args))
         for budget, chunks in ((7000, [48, 48, 4] * 20), (30_000, [200] * 10)):
-            monkeypatch.setattr(cluster_module, "CHUNK_VALUES", budget)
+            monkeypatch.setattr(sampler_module, "CHUNK_VALUES", budget)
             rows.clear()
             chunked = inst.cluster_term(yseq, 2000, seed=5)
             assert rows == chunks
@@ -422,7 +423,7 @@ class TestClusterTerms:
         # 64 points, chunks of 1000 rows: four times the rows, the same peak;
         # a first small call fills the caches (scipy's Sobol direction table)
         inst = make_instance(n_slices=32, b_m=0.3)
-        monkeypatch.setattr(cluster_module, "CHUNK_VALUES", 64 * 1000)
+        monkeypatch.setattr(sampler_module, "CHUNK_VALUES", 64 * 1000)
         inst.second_step_residual(20, seed=9)
         peaks = []
         for n_samples in (1000, 4000):

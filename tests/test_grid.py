@@ -18,6 +18,11 @@ class TestFieldGrid:
     def test_cyclic_time_index(self, grid):
         assert grid.point(1, 9) == grid.point(1, 1)
 
+    @pytest.mark.parametrize("site", [-1, 2])
+    def test_site_off_the_box_rejected(self, grid, site):
+        with pytest.raises(ValueError, match=f"site {site} is outside the 2-site box"):
+            grid.point(site, 0)
+
     def test_slice_of_grid_times(self, grid):
         assert grid.slice_of(0.0) == 0
         assert grid.slice_of(0.5) == 2

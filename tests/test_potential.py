@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anhcrystal import potential as potential_module
 from anhcrystal.potential import (BoundReport, auxiliary_potential,
                                   derivative_bound_check,
                                   finite_difference_derivative,
@@ -118,6 +119,22 @@ class TestBounds:
         report = derivative_bound_check(4, np.linspace(-2, 2, 11), 0.3, 1.0)
         assert isinstance(report, BoundReport)
         assert report.max_ratio <= 1.0
+
+    def test_oversized_prototype_derivative_fails_first_at_order_zero(self, monkeypatch):
+        # at n = 0 the prototype bound is tight at x = 0, so 1 % more breaks it
+        monkeypatch.setattr(potential_module, "nth_derivative",
+                            lambda *args, _f=nth_derivative: 1.01 * _f(*args))
+        report = derivative_bound_check(10, np.arange(-5.0, 5.0, 0.01), b_m=0.5, delta_m=2.0)
+        assert not report.ok and report.first_violation[:2] == ("prototype", 0), report
+        name, n, x, lhs, rhs = report.first_violation
+        assert lhs > rhs and abs(x) < 0.5 and report.max_ratio == pytest.approx(1.01)
+
+    def test_oversized_gibbs_factor_derivatives_fail_their_bound(self, monkeypatch):
+        monkeypatch.setattr(potential_module, "gibbs_factor_derivatives",
+                            lambda *args, _f=gibbs_factor_derivatives: 10.0 * _f(*args))
+        report = derivative_bound_check(10, np.arange(-5.0, 5.0, 0.01), b_m=0.5, delta_m=2.0)
+        assert not report.ok and report.first_violation[:2] == ("gibbs-factor", 1), report
+        assert report.first_violation[3] > report.first_violation[4]
 
 
 class TestGibbsFactorDerivatives:

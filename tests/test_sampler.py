@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -14,9 +15,9 @@ from anhcrystal.params import ModelParams, rescale
 from anhcrystal.sampler import (N_BATCHES, Ensemble, EstimatorResult,
                                 GaussianFieldSampler, accumulate, boundary_mean_shift,
                                 doubled_measure_correlation, expectation, gap_estimate,
-                                jackknife, pcn_expectation, periodic_bc,
-                                reweight_expectation, scrambled_normals, sobol_led,
-                                tempered_bc, two_point_table, zero_bc)
+                                jackknife, map_rows, pcn_expectation, periodic_bc,
+                                plain_stream, reweight_expectation, scrambled_normals,
+                                sobol_led, tempered_bc, two_point_table, zero_bc)
 
 
 def compatible(a: EstimatorResult, b: EstimatorResult, n_sigma: float) -> bool:
@@ -37,7 +38,7 @@ def truncated_two_point(ensemble: Ensemble, p1, p2, n_samples: int,
         av, bv = obs_a(phi), obs_b(phi)
         return w.sum(), (w * av).sum(), (w * bv).sum(), (w * av * bv).sum(), (w ** 2).sum()
 
-    sums = sobol_led(ensemble.sampler, columns, n_samples, seed)
+    sums = accumulate(sobol_led(ensemble.sampler, n_samples, seed), columns, n_samples)
     mean, stderr = jackknife(sums, lambda c: c[3] / c[0] - (c[1] / c[0]) * (c[2] / c[0]))
     total = sums.sum(axis=0)
     return EstimatorResult(mean=float(mean), stderr=float(stderr), n_samples=n_samples,
@@ -350,6 +351,22 @@ class TestExpectation:
         exact = ens.kernel.closed((0,), (1,), 0.5)
         assert abs(res.mean - exact) < 4.0 * res.stderr
 
+    def test_phi_product_reads_its_sites_and_slices(self):
+        ens = Ensemble(lattice=Lattice(1, (4,)), a=1.0, J=0.25, beta_hat=2.0, n_slices=8,
+                       b_m=0.0, delta_m=1.0, d=2)
+        phi = np.random.default_rng(1).standard_normal((3,) + ens.sampler.shape)
+        obs = ens.phi_product([(1, 0.5, 1), ((3,), 1.75, 0)])
+        assert np.array_equal(obs(phi), phi[:, 1, 2, 1] * phi[:, 3, 7, 0])
+
+    @pytest.mark.parametrize("factor, message", [
+        ((4, 0.0, 0), "site 4 is outside the 4-site box"),
+        ((-1, 0.0, 0), "site -1 is outside the 4-site box"),
+        (((0,), 0.0, 1), "component 1 is not one of the field's 1"),
+    ])
+    def test_phi_product_off_the_box_rejected(self, factor, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chain_ensemble(n=4).phi_product([factor])
+
     def test_odd_moment_vanishes(self):
         ens = single_site_ensemble(b_m=0.8)
         obs = ens.phi_product([((0,), 0.5, 0)])
@@ -448,7 +465,8 @@ class TestTwoPoint:
             return np.broadcast_arrays(w.sum(), np.tensordot(w, corr[..., lags], axes=(0, 0)),
                                        (w * phi.mean(axis=axes)).sum())
 
-        sums = accumulate(ens.draw, columns, 2_000, seed=4)
+        sums = accumulate(plain_stream(ens.draw, math.prod(ens.sampler.shape), 4), columns,
+                          2_000)
         k_ref, e_ref = jackknife(sums, lambda c: c[1] / c[0] - (c[2] / c[0]) ** 2)
         k, e = two_point_table(ens, lags, 2_000, seed=4)
         np.testing.assert_allclose(k, k_ref, rtol=0, atol=1e-12 * np.abs(k_ref).max())
@@ -479,6 +497,23 @@ class TestTwoPoint:
         two_point_table(chain_ensemble(b_m=0.4, h_hat=(0.2,)), [0, 3], 3_000, seed=2)
         assert sum(drawn) == 3_000, drawn
 
+    def test_table_memory_does_not_grow_with_draws(self):
+        # criterion 9's box: chunks of at most CHUNK_VALUES field values hold
+        # a 50,000-draw table to the peak of a 12,000-draw one; chunks of one
+        # whole batch peaked at 29.5 MB against 7.1 MB in the same calls
+        ens = Ensemble(lattice=Lattice(1, (32,)), a=1.0, J=0.5, beta_hat=2.0, n_slices=32,
+                       b_m=0.1, delta_m=1.0, d=1, bc=periodic_bc())
+        two_point_table(ens, 0, 1_000, seed=1)  # fills the caches first
+        peaks = []
+        for n in (12_000, 50_000):
+            tracemalloc.start()
+            try:
+                two_point_table(ens, 0, n, seed=9)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+
 
 class TestTempered:
     def test_weighted_sum_and_validation(self):
@@ -489,6 +524,14 @@ class TestTempered:
         assert total == pytest.approx(expected, rel=1e-12)
         with pytest.raises(ValueError):
             tempered_weighted_sum(xi, rho=0.0, beta_hat=2.0)
+
+    def test_trajectory_off_the_outside_layer_rejected(self):
+        # the chain's outside layer is its two ends, (-1,) and (4,)
+        lat = Lattice(1, (4,), Boundary.DIRICHLET)
+        xi = {(-1,): np.ones((8, 1)), (3,): np.ones((8, 1))}
+        with pytest.raises(ValueError, match=r"\[\(3,\)\], off the box's outside layer"):
+            Ensemble(lattice=lat, a=1.0, J=0.5, beta_hat=2.0, n_slices=8, b_m=0.1,
+                     delta_m=1.0, d=1, bc=tempered_bc(xi))
 
     def test_mean_shift_matches_dense_algebra(self):
         lat = Lattice(1, (4,), Boundary.DIRICHLET)
@@ -633,32 +676,41 @@ class TestImportanceCore:
         assert peaks[1] <= 66.6e6, peaks
 
     class IndexRows:
-        """A row source whose rows are their own indices; records each request."""
+        """A row source of one value a row, its index; records each request."""
 
         def __init__(self, batches):
-            self.batches, self.asked = batches, []
+            self.batches, self.size, self.asked = batches, 1, []
 
         def rows(self, start, stop):
             self.asked.append((start, stop))
             return np.arange(start, stop, dtype=float)
 
-    @pytest.mark.parametrize("chunk, asked", [
-        (None, [(0, 100), (100, 200), (200, 300), (300, 400)]),
-        (300, [(0, 300), (300, 400)]),
-        (30, [(b * 100 + lo, b * 100 + min(lo + 30, 100))
-              for b in range(4) for lo in range(0, 100, 30)]),
-    ])
-    def test_chunks_hold_whole_batches_or_pieces_of_one(self, chunk, asked):
-        # four batches of 100 rows; the work runs once per chunk and each
-        # batch's slice of it is summed into that batch
-        source = self.IndexRows(4)
-        sums = accumulate(source, lambda v: (len(v), v.sum()), 400, seed=0,
-                          work=lambda r: 2.0 * r, chunk=chunk)
+    @pytest.mark.parametrize("size, asked", [
+        (30, [(0, 100), (100, 200), (200, 300), (300, 400)]),
+        (29, [(0, 100), (100, 200), (200, 300), (300, 400)]),
+        (10, [(0, 300), (300, 400)]),
+        (7, [(0, 400)]),
+        (100, [(b * 100 + lo, b * 100 + min(lo + 30, 100))
+               for b in range(4) for lo in range(0, 100, 30)]),
+        (3001, [(i, i + 1) for i in range(400)]),
+    ], ids=["one-batch", "one-batch-of-103-rows", "three-batches", "all-batches",
+            "pieces-of-30-rows", "one-row"])
+    def test_chunks_hold_whole_batches_or_pieces_of_one(self, monkeypatch, size, asked):
+        # four batches of 100 rows; a chunk holds at most CHUNK_VALUES // size
+        # rows of the mapped source (at least one): whole batches when they
+        # fit, else a piece of one batch.  The map runs once per chunk, and
+        # each batch's slice of its output is summed into that batch
+        monkeypatch.setattr(sampler_module, "CHUNK_VALUES", 3000)
+        source, mapped = self.IndexRows(4), []
+        rows = map_rows(source, lambda r: mapped.append(len(r)) or 2.0 * r, size)
+        sums = accumulate(rows, lambda v: (len(v), v.sum()), 400)
         assert source.asked == asked
+        assert mapped == [hi - lo for lo, hi in asked]
+        assert max(mapped) <= max(1, 3000 // size)
         expected = [(100.0, 2.0 * sum(range(b * 100, b * 100 + 100))) for b in range(4)]
         assert np.array_equal(sums, expected)
         with pytest.raises(ValueError, match="multiple of 4 batches"):
-            accumulate(self.IndexRows(4), lambda v: (len(v),), 402, seed=0)
+            accumulate(self.IndexRows(4), lambda v: (len(v),), 402)
 
     def test_jackknife_of_a_plain_mean_is_the_batch_means_stderr(self):
         values = np.random.default_rng(3).exponential(size=(N_BATCHES, 40))
