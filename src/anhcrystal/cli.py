@@ -203,10 +203,13 @@ def cmd_oracle(cfg: dict, out_dir: Path, args) -> int:
     r = rescale(p)
     if math.isinf(r.beta_hat):
         raise ConfigError("oracle traces need finite beta")
+    taus = [float(t) for t in (args.tau_grid or "0.25,0.5,1.0").split(",")]
+    for tau in taus:  # every tau before the result file is opened
+        if not 0.0 <= tau <= r.beta_hat:
+            raise ConfigError(f"tau must lie in [0, beta_hat = {r.beta_hat!r}], got {tau!r}")
     ham = GridHamiltonian(n_sites=args.sites, a=p.a, J=p.J, b_m=r.b_m,
                           delta_m=r.delta_m, extent=args.extent,
                           n_grid=args.grid)
-    taus = [float(t) for t in (args.tau_grid or "0.25,0.5,1.0").split(",")]
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "oracle.csv"
     with open(path, "w", newline="") as fh:
@@ -230,9 +233,12 @@ def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
         payload = {"orders": {str(n): tree_order_facts(n) for n in range(2, last + 1)}}
         payload["ok"] = all(row["ok"] for row in payload["orders"].values())
     else:
+        if check == "residuals" and cfg["order"] < 2:
+            raise ConfigError(f"cluster --check residuals compares consecutive orders and "
+                              f"needs order >= 2, got order = {cfg['order']}")
         _require_periodic(cfg, f"cluster --check {check}")
-        # R1 and the IBP remainder draw plain batches; later orders also draw scrambles
-        plain_only = check == "newton-leibniz" or cfg["order"] < 2
+        # the IBP remainder draws plain batches; residuals also draw scrambles
+        plain_only = check == "newton-leibniz"
         _require_batches(cfg, N_BATCHES if plain_only else math.lcm(N_BATCHES, RQMC_BATCHES))
         p = model_params(cfg)
         mode = RodMode(cfg["mode"])

@@ -4,12 +4,19 @@ The rescaled one-site Hamiltonian (d = 1) is discretized on a real-space grid
 with a fourth-order Laplacian stencil.  Two sites use the product basis of the
 k lowest one-site states, with energies E and matrix elements X of x and X^2
 of x^2: H = E(x)1 + 1(x)E + J (X^2(x)1 + 1(x)X^2 - 2 X(x)X).  Every solve is
-dense and deterministic.  Operators diagonal on the grid (x, x^2) act by
-scaling rows, and a one-site factor X(x)1 or 1(x)X on the kept two-site states
-by contracting X with one product-basis index, so no dense diagonal or
-Kronecker matrix multiplies a basis.  Thermal traces and imaginary-time
-displacement correlations from the spectrum validate the covariance formulas
-and the Monte Carlo sampler from a completely different direction.
+dense and deterministic, and runs in symmetry blocks.  The grid is mirror
+symmetric and the on-site potential even, so the one-site matrix splits into
+a reflection-even and a reflection-odd block (a matrix that is not its own
+reflection is refused), and each kept state has the parity of its block.  X
+flips parity and X^2 keeps it, so the total parity p_i p_j splits the product
+basis, and inside each parity sector the site swap ij <-> ji splits symmetric
+from antisymmetric states: four blocks of about k^2 / 4, each assembled from
+index arrays without a Kronecker product.  Operators diagonal on the grid
+(x, x^2) act by scaling rows, and a one-site factor X(x)1 or 1(x)X on the
+kept two-site states by contracting X with one product-basis index.  Thermal
+traces and imaginary-time displacement correlations from the spectrum
+validate the covariance formulas and the Monte Carlo sampler from a
+completely different direction.
 
 The ground-energy convention subtracts (1/2) Tr B: one site subtracts
 sqrt(a)/2, two sites subtract (sqrt(a) + sqrt(a + 4J))/2.  Two periodic sites
@@ -36,12 +43,42 @@ def _laplacian_1d(n: int, h: float) -> np.ndarray:
     return lap / h ** 2
 
 
-def _lowest(ham: np.ndarray, diagonals, keep: int):
-    """The ``keep`` lowest eigenvalues of a dense matrix, and in their basis
-    each diagonal operator, given by its diagonal."""
-    energies, vecs = np.linalg.eigh(ham)
-    vecs = vecs[:, :keep]
-    return energies[:keep], [vecs.T @ (diag[:, None] * vecs) for diag in diagonals]
+def _sector_lowest(entries, sectors, flip: np.ndarray, keep: int):
+    """The ``keep`` lowest eigenpairs of a symmetric matrix, solved in blocks.
+
+    ``entries(rows, cols)`` gives the matrix on two index arrays.  The matrix
+    couples no two ``sectors`` (index arrays that split the basis), and it
+    commutes with the index involution ``flip``, which maps each sector onto
+    itself.  A sector's pairs (b, flip b) then span flip-even and flip-odd
+    combinations (e_b +- e_flip b)/sqrt 2, fixed points joining the even block
+    with a sqrt 2 coupling.  Returns the energies in ascending order (a stable
+    sort over the blocks), the eigenvectors unfolded to the full basis, and
+    each state's flip sign.
+    """
+    solved = []
+    for index in sectors:
+        pairs = index[index < flip[index]]
+        fixed = index[index == flip[index]]
+        direct, crossed = entries(pairs, pairs), entries(pairs, flip[pairs])
+        mixed = math.sqrt(2.0) * entries(pairs, fixed)
+        even = np.block([[direct + crossed, mixed], [mixed.T, entries(fixed, fixed)]])
+        for sign, block, centre in ((1.0, even, fixed), (-1.0, direct - crossed, fixed[:0])):
+            solved.append((sign, pairs, centre, *np.linalg.eigh(block)))
+    energies = np.concatenate([e for *_, e, _ in solved])
+    order = np.argsort(energies, kind="stable")[:keep]
+    # unfold only the kept states, each into the columns where the sort put it
+    vecs, signs = np.zeros((len(flip), keep)), np.empty(keep)
+    start = 0
+    for sign, pairs, centre, e, u in solved:
+        kept = np.flatnonzero((order >= start) & (order < start + len(e)))
+        u = u[:, order[kept] - start]
+        half = u[:len(pairs)] / math.sqrt(2.0)
+        vecs[np.ix_(pairs, kept)] = half
+        vecs[np.ix_(flip[pairs], kept)] = sign * half
+        vecs[np.ix_(centre, kept)] = u[len(pairs):]
+        signs[kept] = sign
+        start += len(e)
+    return energies[order], vecs, signs
 
 
 @dataclass
@@ -77,22 +114,40 @@ class GridHamiltonian:
     @cached_property
     def _solution(self):
         """(energies, displacement matrix per site) of the kept states."""
-        x = np.linspace(-self.extent, self.extent, self.n_grid)
-        ham = -0.5 * _laplacian_1d(self.n_grid, x[1] - x[0]) + np.diag(self._onsite(x))
+        n = self.n_grid
+        x = self.extent * np.arange(1 - n, n, 2) / (n - 1)  # x[::-1] == -x exactly
+        ham = -0.5 * _laplacian_1d(n, x[1] - x[0]) + np.diag(self._onsite(x))
+        if not np.array_equal(ham, ham[::-1, ::-1]):
+            raise ValueError("the one-site Hamiltonian is not even in x, so the grid "
+                             "reflection does not split it")
+        # two sites keep the smallest k with k^2 >= 4 n_states
+        k = n if self.n_sites == 1 else math.isqrt(4 * self.n_states - 1) + 1
+        e, vecs, parity = _sector_lowest(lambda r, c: ham[np.ix_(r, c)], [np.arange(n)],
+                                         np.arange(n)[::-1], k)
+        xk = vecs.T @ (x[:, None] * vecs)
         if self.n_sites == 1:
-            ham -= self.energy_shift * np.eye(self.n_grid)
-            return _lowest(ham, [x], self.n_grid)
-        k = math.isqrt(4 * self.n_states - 1) + 1  # smallest k with k^2 >= 4 n_states
-        e, (xk, xsq) = _lowest(ham, [x, x ** 2], k)
-        one = np.eye(k)
-        pair = (np.diag(np.add.outer(e, e).ravel() - self.energy_shift)
-                + self.J * (np.kron(xsq, one) + np.kron(one, xsq) - 2.0 * np.kron(xk, xk)))
-        energies, vecs = np.linalg.eigh(pair)
-        vecs = vecs[:, :self.n_states]
+            return e - self.energy_shift, [xk]
+        xsq = vecs.T @ (x[:, None] ** 2 * vecs)
+        # product state |ij> is index i k + j; x flips a state's parity and x^2
+        # keeps it, so H keeps the total parity p_i p_j and commutes with ij <-> ji
+        i, j = np.divmod(np.arange(k * k), k)
+        diagonal = e[i] + e[j] - self.energy_shift
+
+        def pair(r, c):
+            (ri, rj), (ci, cj) = np.divmod(r, k), np.divmod(c, k)
+            ii, jj = np.ix_(ri, ci), np.ix_(rj, cj)
+            return ((r[:, None] == c) * diagonal[r][:, None]
+                    + self.J * (xsq[ii] * (rj[:, None] == cj) + (ri[:, None] == ci) * xsq[jj]
+                                - 2.0 * xk[ii] * xk[jj]))
+
+        total = parity[i] * parity[j]
+        energies, vecs, _ = _sector_lowest(pair, [np.flatnonzero(total > 0),
+                                                  np.flatnonzero(total < 0)],
+                                           j * k + i, self.n_states)
         # x on site 0 is xk (x) 1 and on site 1 is 1 (x) xk: xk acts on the first
         # or the second product-basis index of the kept eigenvectors
         by_site = (xk @ vecs.reshape(k, -1), xk @ vecs.reshape(k, k, -1))
-        return energies[:self.n_states], [vecs.T @ m.reshape(k * k, -1) for m in by_site]
+        return energies, [vecs.T @ m.reshape(k * k, -1) for m in by_site]
 
     @property
     def energies(self) -> np.ndarray:

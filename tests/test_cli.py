@@ -291,6 +291,17 @@ class TestClusterCommand:
         assert rule in json.loads(err.strip().splitlines()[-1])["error"]
         assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
 
+    @pytest.mark.parametrize("flags", [["--order", "1"], ["--order", "0", "--samples", "50"]],
+                             ids=["order-1", "order-0"])
+    def test_residuals_need_two_orders(self, tmp_path, capsys, flags):
+        # one order gives no drop to resolve, so there is nothing to check
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "cluster", "--check", "residuals", *flags])
+        err = capsys.readouterr().err
+        assert rc == 2 and "order 1 done" not in err
+        assert "needs order >= 2" in json.loads(err.strip().splitlines()[-1])["error"]
+        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+
     def test_observable_off_the_box_rejected(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["--out", str(out), "cluster", "--check", "newton-leibniz", "--samples", "1000",
@@ -505,6 +516,15 @@ class TestOracleCommand:
             tables.append((out / "oracle.csv").read_bytes())
         assert tables[0] == tables[1]
         assert len(tables[0].decode().strip().splitlines()) == 4
+
+    def test_tau_outside_period_leaves_no_result(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, d=1)
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "--out", str(out), "oracle", "--sites", "1",
+                   "--tau-grid", "0.5,5"])
+        assert rc == 2
+        assert "tau must lie in" in _json_error(capsys)
+        assert not (out / "oracle.csv").exists()
 
     def test_infinite_beta_rejected(self, tmp_path):
         cfg = write_config(tmp_path, d=1, beta="inf")

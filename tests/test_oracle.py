@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,15 +115,34 @@ class TestGridConvergence:
 
 
 class TestAssembly:
-    @pytest.mark.parametrize("n_sites, b_m", [(1, 0.5), (2, 0.0), (2, 0.5)])
-    def test_solve_equals_the_dense_kronecker_solve(self, n_sites, b_m):
+    # the sector solve and the dense one are different LAPACK calls, so
+    # eigenvector signs and their summation order differ: compare energies and
+    # gauge-invariant quantities, within round-off of the grid matrix
+    @pytest.mark.parametrize("n_sites, b_m, n_grid", [
+        (1, 0.5, 96), (2, 0.0, 96), (2, 0.5, 96),
+        (1, 0.5, 97), (2, 0.5, 97),    # odd grid: the centre point joins the even block
+        (1, 6.0, 96), (2, 6.0, 96),    # deep double well, V''(0) = -5: tunnelling doublets
+        (1, 0.5, 512),                 # the default one-site grid
+    ], ids=["1-0.5", "2-0.0", "2-0.5", "1-0.5-grid97", "2-0.5-grid97", "1-6.0", "2-6.0",
+            "1-0.5-grid512"])
+    def test_solve_equals_the_dense_kronecker_solve(self, n_sites, b_m, n_grid):
         ham = GridHamiltonian(n_sites=n_sites, a=1.0, J=0.25 * (n_sites - 1), b_m=b_m,
-                              delta_m=1.0, extent=8.0, n_grid=96, n_states=150)
-        energies, displacements = dense_solution(ham)
-        assert np.array_equal(ham.energies, energies)  # the Hamiltonian is unchanged
-        for site, want in enumerate(displacements):
-            np.testing.assert_allclose(ham.displacement_matrix(site), want, rtol=0,
-                                       atol=1e-12)
+                              delta_m=1.0, extent=8.0, n_grid=n_grid, n_states=150)
+        dense = replace(ham)
+        dense.__dict__["_solution"] = dense_solution(ham)
+        want = dense.energies
+        assert np.all(np.abs(ham.energies - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        low = slice(0, 50)
+        for a in range(n_sites):
+            for b in range(n_sites):
+                got = ham.displacement_matrix(a) * ham.displacement_matrix(b).T
+                ref = dense.displacement_matrix(a) * dense.displacement_matrix(b).T
+                np.testing.assert_allclose(got[low, low], ref[low, low], rtol=1e-12, atol=1e-12)
+        assert thermal_trace(ham, 2.0) == pytest.approx(thermal_trace(dense, 2.0), abs=1e-12)
+        for tau in (0.0, 0.25, 0.5, 1.0):
+            for site in range(n_sites):
+                assert thermal_correlation(ham, 2.0, tau, 0, site) == pytest.approx(
+                    thermal_correlation(dense, 2.0, tau, 0, site), abs=1e-12)
 
 
 class TestValidation:
@@ -137,3 +157,13 @@ class TestValidation:
         with pytest.raises(ValueError):  # 150 states need 25 one-site states
             GridHamiltonian(n_sites=2, a=1.0, J=0.25, b_m=0.0, delta_m=1.0,
                             n_grid=16)
+
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_odd_onsite_term_refused(self, monkeypatch, n_sites):
+        # a field h x breaks the grid reflection the blocks are built on
+        even = GridHamiltonian._onsite
+        monkeypatch.setattr(GridHamiltonian, "_onsite", lambda self, x: even(self, x) + 0.1 * x)
+        ham = GridHamiltonian(n_sites=n_sites, a=1.0, J=0.25 * (n_sites - 1), b_m=0.5,
+                              delta_m=1.0, n_grid=96)
+        with pytest.raises(ValueError, match="not even"):
+            ham.energies
