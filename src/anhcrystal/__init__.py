@@ -10,7 +10,7 @@ high-temperature thresholds, and an exact-diagonalization oracle.
 
 from .covariance import CovarianceKernel, convex_decomposition
 from .grid import FieldGrid
-from .lattice import Boundary, Lattice, Rod, RodMode, rod_partition
+from .lattice import Boundary, Lattice, RodMode
 from .params import (ModelParams, RescaledParams, beta_threshold, epsilon_of_m,
                      field_threshold, mass_threshold, rescale, unrescale)
 from .potential import auxiliary_potential, nth_derivative
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Boundary", "BoundaryCondition", "CovarianceKernel", "Ensemble",
     "EstimatorResult", "FieldGrid", "Lattice", "ModelParams",
-    "RescaledParams", "Rod", "RodMode", "auxiliary_potential",
+    "RescaledParams", "RodMode", "auxiliary_potential",
     "beta_threshold", "convex_decomposition", "epsilon_of_m", "expectation",
     "field_threshold", "mass_threshold", "nth_derivative", "rescale",
-    "rod_partition", "unrescale",
+    "unrescale",
 ]

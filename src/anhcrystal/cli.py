@@ -2,11 +2,14 @@
 checks, the exact-diagonalization oracle, uniqueness and order-parameter
 scans, and the one-shot verification suite.
 
-Every run validates its configuration, writes a manifest (config + version +
-seed) beside its results, and is deterministic: identical config and seed
-give byte-identical artifacts.  A flag named after a configuration key
-overrides that key and is parsed as the file's value is.  Errors exit
-nonzero with a machine-readable JSON message on stderr.
+Every input of a run is a configuration key.  Each flag of a subcommand is
+named after a key (``--n-max`` for ``matsubara_cutoff`` is the one alias),
+overrides it, and is parsed as the file's value is; ``COMMANDS`` lists the
+keys each subcommand takes as flags, and the parser is built from it.  Every
+run validates its configuration, writes a manifest (config + version + seed)
+beside its results, and is deterministic: identical config and seed give
+byte-identical artifacts, so the manifest's config reproduces the run.
+Errors exit nonzero with a machine-readable JSON message on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (KEYS, ConfigError, load_config, model_params, parse_value,
+from .config import (CHOICES, KEYS, ConfigError, load_config, model_params, parse_value,
                      write_manifest)
 from .covariance import CovarianceKernel
 from .lattice import Boundary, Lattice, RodMode
@@ -132,10 +135,21 @@ def _emit(out_dir: Path, name: str, payload: dict) -> Path:
     return path
 
 
+def _write_table(out_dir: Path, name: str, header: list, rows: list):
+    """Write a CSV result whose rows are all computed, so an error leaves no file."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(path)
+
+
 # -- subcommands -------------------------------------------------------------------
 
 
-def cmd_thresholds(cfg: dict, out_dir: Path, args) -> int:
+def cmd_thresholds(cfg: dict, out_dir: Path) -> int:
     p = model_params(cfg)
     c = cfg["c"]
     c_g = 1.0 / p.a  # box- and temperature-uniform value of the summed kernel
@@ -153,35 +167,29 @@ def cmd_thresholds(cfg: dict, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_covariance(cfg: dict, out_dir: Path, args) -> int:
+def cmd_covariance(cfg: dict, out_dir: Path) -> int:
     p = model_params(cfg)
     r = rescale(p)
     boundary = Boundary.PERIODIC if _bc_spec(cfg) == "periodic" else Boundary.DIRICHLET
     lat = Lattice(nu=p.nu, dims=p.dims, boundary=boundary)
     kern = CovarianceKernel(lat, p.a, p.J, r.beta_hat)
-    n_max = cfg["matsubara_cutoff"]
-    taus = [float(t) for t in (args.tau_grid or "0.25,0.5,1.0").split(",")]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "covariance.csv"
     origin = (0,) * p.nu
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "tau", "G_matsubara", "G_closed", "abs_diff"])
-        for j in range(p.dims[0]):
-            site = (j,) + (0,) * (p.nu - 1)
-            for tau in taus:
-                closed = kern.closed(site, origin, tau)
-                if boundary is Boundary.PERIODIC and not math.isinf(r.beta_hat):
-                    mats = kern.matsubara(site, origin, tau, n_max)
-                else:
-                    mats = closed
-                writer.writerow([j, tau, repr(mats), repr(closed),
-                                 repr(abs(mats - closed))])
-    print(path)
+    rows = []
+    for j in range(p.dims[0]):
+        site = (j,) + (0,) * (p.nu - 1)
+        for tau in cfg["tau_grid"]:
+            closed = kern.closed(site, origin, tau)
+            if boundary is Boundary.PERIODIC and not math.isinf(r.beta_hat):
+                mats = kern.matsubara(site, origin, tau, cfg["matsubara_cutoff"])
+            else:
+                mats = closed
+            rows.append([j, tau, repr(mats), repr(closed), repr(abs(mats - closed))])
+    _write_table(out_dir, "covariance.csv", ["j", "tau", "G_matsubara", "G_closed", "abs_diff"],
+                 rows)
     return 0
 
 
-def cmd_sample(cfg: dict, out_dir: Path, args) -> int:
+def cmd_sample(cfg: dict, out_dir: Path) -> int:
     if cfg["backend"] == "reweight":
         _require_batches(cfg, RQMC_BATCHES)
     p = model_params(cfg)
@@ -196,37 +204,35 @@ def cmd_sample(cfg: dict, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_oracle(cfg: dict, out_dir: Path, args) -> int:
+def cmd_oracle(cfg: dict, out_dir: Path) -> int:
     from .oracle import GridHamiltonian, thermal_correlation
 
     p = model_params(cfg)
     r = rescale(p)
     if math.isinf(r.beta_hat):
         raise ConfigError("oracle traces need finite beta")
-    taus = [float(t) for t in (args.tau_grid or "0.25,0.5,1.0").split(",")]
-    for tau in taus:  # every tau before the result file is opened
+    if p.d != 1:
+        raise ConfigError(f"oracle solves scalar displacements and needs d = 1, got d = {p.d}")
+    if any(p.h):
+        raise ConfigError(f"oracle Hamiltonians have no field term and need h = 0, "
+                          f"got h = {', '.join(map(str, p.h))}")
+    for tau in cfg["tau_grid"]:
         if not 0.0 <= tau <= r.beta_hat:
             raise ConfigError(f"tau must lie in [0, beta_hat = {r.beta_hat!r}], got {tau!r}")
-    ham = GridHamiltonian(n_sites=args.sites, a=p.a, J=p.J, b_m=r.b_m,
-                          delta_m=r.delta_m, extent=args.extent,
-                          n_grid=args.grid)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "oracle.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "correlation"])
-        for tau in taus:
-            writer.writerow([tau, repr(thermal_correlation(ham, r.beta_hat, tau))])
-    print(path)
+    ham = GridHamiltonian(n_sites=cfg["sites"], a=p.a, J=p.J, b_m=r.b_m,
+                          delta_m=r.delta_m, extent=cfg["extent"], n_grid=cfg["grid"])
+    _write_table(out_dir, "oracle.csv", ["tau", "correlation"],
+                 [[tau, repr(thermal_correlation(ham, r.beta_hat, tau))]
+                  for tau in cfg["tau_grid"]])
     return 0
 
 
-def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
+def cmd_cluster(cfg: dict, out_dir: Path) -> int:
     from .cluster import (MAX_BF_ORDER, ClusterInstance, newton_leibniz_report,
                           residual_decay_report)
     from .verify import tree_order_facts
 
-    check = args.check or "trees"
+    check = cfg["check"]
     if check in ("trees", "bf"):
         # the same exact facts per order; bf reaches the tree sum's last order
         last = 6 if check == "trees" else MAX_BF_ORDER
@@ -280,7 +286,7 @@ def cmd_cluster(cfg: dict, out_dir: Path, args) -> int:
     return 0 if payload["ok"] else 1
 
 
-def cmd_uniqueness(cfg: dict, out_dir: Path, args) -> int:
+def cmd_uniqueness(cfg: dict, out_dir: Path) -> int:
     from .sampler import uniqueness_gap
 
     _require_batches(cfg, RQMC_BATCHES)
@@ -288,7 +294,7 @@ def cmd_uniqueness(cfg: dict, out_dir: Path, args) -> int:
     if p.nu != 1:
         raise ConfigError(f"uniqueness tempers the two ends of a chain and needs nu = 1, "
                           f"got nu = {p.nu}")
-    sizes = parse_value("dims", args.sizes or "8,16")
+    sizes = cfg["sizes"] or (8, 16)
     boxes = {n: replace(p, dims=(n,)) for n in sizes}  # an odd size fails before any run
 
     def make_pair(n):
@@ -311,14 +317,14 @@ def cmd_uniqueness(cfg: dict, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_order_param(cfg: dict, out_dir: Path, args) -> int:
+def cmd_order_param(cfg: dict, out_dir: Path) -> int:
     from .sampler import order_parameter
 
     _require_periodic(cfg, "order-param")
     _require_batches(cfg, RQMC_BATCHES)
     p = model_params(cfg)
-    h_values = parse_value("h", args.h_values or "0.1,0.05,0")
-    sizes = parse_value("dims", args.sizes) if args.sizes else p.dims[:1]
+    h_values = cfg["h_values"]
+    sizes = cfg["sizes"] or p.dims[:1]
     boxes = {n: replace(p, dims=(n,) * p.nu) for n in sizes}  # an odd size fails before any run
     rows = order_parameter(
         lambda n, h: build_ensemble(replace(boxes[n], h=(h,) + (0.0,) * (p.d - 1)), cfg),
@@ -329,7 +335,7 @@ def cmd_order_param(cfg: dict, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, out_dir: Path, args) -> int:
+def cmd_verify(cfg: dict, out_dir: Path) -> int:
     from .verify import run_verification
 
     results = run_verification(cfg)
@@ -354,6 +360,23 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# subcommand -> (handler, the configuration keys it takes as flags)
+COMMANDS = {
+    "thresholds": (cmd_thresholds, ()),
+    "covariance": (cmd_covariance, ("matsubara_cutoff", "tau_grid", "nu", "dims", "boundary")),
+    "sample": (cmd_sample, ("samples", "slices_per_unit", "backend", "observable", "boundary",
+                            "nu", "dims")),
+    "cluster": (cmd_cluster, ("order", "mode", "observable", "check", "samples")),
+    "oracle": (cmd_oracle, ("sites", "grid", "extent", "tau_grid")),
+    "uniqueness": (cmd_uniqueness, ("sizes", "samples")),
+    "order-param": (cmd_order_param, ("h_values", "sizes", "samples")),
+    "verify": (cmd_verify, ()),
+}
+_FLAG_ALIASES = {"matsubara_cutoff": "--n-max"}
+_HELP = {"boundary": "periodic, zero, dirichlet or tempered:FILE",
+         **{key: ", ".join(map(str, values)) for key, values in CHOICES.items()}}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="anhcrystal",
@@ -363,62 +386,12 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--seed", help="override the run seed")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    boundary_help = "periodic, zero, dirichlet or tempered:FILE"
-
-    sub.add_parser("thresholds")
-
-    cov = sub.add_parser("covariance")
-    cov.add_argument("--n-max", dest="matsubara_cutoff")
-    cov.add_argument("--tau-grid")
-    cov.add_argument("--nu")
-    cov.add_argument("--dims")
-    cov.add_argument("--boundary", help=boundary_help)
-
-    smp = sub.add_parser("sample")
-    smp.add_argument("--samples")
-    smp.add_argument("--slices-per-unit", dest="slices_per_unit")
-    smp.add_argument("--backend", choices=["reweight", "mcmc"])
-    smp.add_argument("--observable")
-    smp.add_argument("--boundary", help=boundary_help)
-    smp.add_argument("--nu")
-    smp.add_argument("--dims")
-
-    clu = sub.add_parser("cluster")
-    clu.add_argument("--order")
-    clu.add_argument("--mode", choices=["lowT", "highT"])
-    clu.add_argument("--observable")
-    clu.add_argument("--check", choices=["trees", "bf", "newton-leibniz", "residuals"])
-    clu.add_argument("--samples")
-
-    orc = sub.add_parser("oracle")
-    orc.add_argument("--sites", type=int, choices=[1, 2], default=1)
-    orc.add_argument("--grid", type=int, default=512)
-    orc.add_argument("--extent", type=float, default=8.0)
-    orc.add_argument("--tau-grid")
-
-    uni = sub.add_parser("uniqueness")
-    uni.add_argument("--sizes")
-    uni.add_argument("--samples")
-
-    opar = sub.add_parser("order-param")
-    opar.add_argument("--h-values", dest="h_values")
-    opar.add_argument("--sizes")
-    opar.add_argument("--samples")
-
-    sub.add_parser("verify")
+    for name, (_, keys) in COMMANDS.items():
+        command = sub.add_parser(name)
+        for key in keys:
+            flag = _FLAG_ALIASES.get(key, "--" + key.replace("_", "-"))
+            command.add_argument(flag, dest=key, help=_HELP.get(key))
     return parser
-
-
-COMMANDS = {
-    "thresholds": cmd_thresholds,
-    "covariance": cmd_covariance,
-    "sample": cmd_sample,
-    "cluster": cmd_cluster,
-    "oracle": cmd_oracle,
-    "uniqueness": cmd_uniqueness,
-    "order-param": cmd_order_param,
-    "verify": cmd_verify,
-}
 
 
 # keys a command sets whatever the configuration says, so that its manifest
@@ -436,7 +409,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, {**overrides, **FIXED_KEYS.get(args.subcommand, {})})
         out_dir = Path(args.out)
         write_manifest(out_dir, args.subcommand, cfg, __version__)
-        return COMMANDS[args.subcommand](cfg, out_dir, args)
+        return COMMANDS[args.subcommand][0](cfg, out_dir)
     except ValueError as exc:  # ConfigError included
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2

@@ -46,7 +46,7 @@ from scipy.special import ndtr
 
 from .covariance import p_matrix
 from .grid import FieldGrid
-from .lattice import RodMode, RodPartition, rod_partition
+from .lattice import RodMode
 # RQMC_BATCHES and SOBOL_BITS stay importable here, where callers of the engine read them
 from .sampler import (RQMC_BATCHES, SOBOL_BITS, Ensemble, accumulate,  # noqa: F401
                       jackknife, map_rows, plain_stream, scrambled_normals)
@@ -400,12 +400,22 @@ class ClusterInstance:
         return self.ensemble.grid
 
     @cached_property
-    def partition(self) -> RodPartition:
-        return rod_partition(self.ensemble.lattice, self.ensemble.beta_hat, self.mode)
+    def rod_points(self) -> np.ndarray:
+        """Flat point ids of every rod, one row per rod.
 
-    @cached_property
-    def rod_points(self) -> list[np.ndarray]:
-        return [self.grid.rod_points(rod, self.partition) for rod in self.partition.rods]
+        Flat ids run over a site's slices before the next site's, so each rod
+        is a run of ids: a low-temperature rod is one site over one unit time
+        interval (beta_hat an integer that divides n_slices), a
+        high-temperature rod one site over its whole time circle.
+        """
+        per_site = 1
+        if self.mode is RodMode.LOW_TEMPERATURE:
+            per_site = round(self.grid.beta_hat)
+            if abs(self.grid.beta_hat - per_site) > 1e-12 or per_site < 1:
+                raise ValueError("low-temperature rods need integer beta_hat")
+            if self.grid.n_slices % per_site:
+                raise ValueError("n_slices must be divisible by the rod count per site")
+        return np.arange(self.grid.n_points).reshape(-1, self.grid.n_slices // per_site)
 
     @cached_property
     def full_matrix(self) -> np.ndarray:
@@ -413,11 +423,7 @@ class ClusterInstance:
 
     @cached_property
     def x1_rod_ids(self) -> tuple[int, ...]:
-        rods = set()
-        for t in self.monomials:
-            rod = self.grid.rod_of_point(t, self.partition)
-            rods.add(self.partition.rods.index(rod))
-        return tuple(sorted(rods))
+        return tuple(sorted({int(t) // self.rod_points.shape[1] for t in self.monomials}))
 
     @cached_property
     def x1_points(self) -> np.ndarray:
@@ -431,8 +437,7 @@ class ClusterInstance:
 
     @cached_property
     def free_rod_ids(self) -> tuple[int, ...]:
-        return tuple(r for r in range(len(self.partition.rods))
-                     if r not in self.x1_rod_ids)
+        return tuple(r for r in range(len(self.rod_points)) if r not in self.x1_rod_ids)
 
     @property
     def gibbs_weight_coeff(self) -> float:
@@ -625,8 +630,7 @@ class ClusterInstance:
         comps = []
         for yseq in yseqs:
             keep = set(self.x1_rod_ids) | set(yseq)
-            comp = [self.rod_points[r] for r in range(len(self.partition.rods))
-                    if r not in keep]
+            comp = [self.rod_points[r] for r in range(len(self.rod_points)) if r not in keep]
             comps.append(np.concatenate(comp) if comp else None)
         all_pts = np.arange(self.grid.n_points)
 

@@ -1,10 +1,13 @@
 """Flat key-value run configuration and manifests.
 
 The configuration file holds one ``key = value`` pair per line (``#`` starts
-a comment).  Lists (``h``, ``dims``) are comma separated; ``beta = inf``
-selects zero temperature.  Every run writes its full configuration, the
-package version, and the seed to a manifest next to the results so a run can
-be reproduced byte for byte.
+a comment).  Lists (``h``, ``dims``, ``tau_grid``, ``sizes``, ``h_values``)
+are comma separated, and an empty list is written as nothing after the
+``=``; ``beta = inf`` selects zero temperature.  Every input of every
+subcommand is a key, and a command-line flag only overrides one, so the
+manifest each run writes next to its results (its full configuration, the
+package version, and the seed) determines the run: a configuration file
+written from it reproduces the results byte for byte.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ from pathlib import Path
 
 from .params import ModelParams
 
-_FLOAT_KEYS = {"m", "a", "b", "delta", "J", "beta", "c"}
+_FLOAT_KEYS = {"m", "a", "b", "delta", "J", "beta", "c", "extent"}
 _INT_KEYS = {"d", "nu", "slices_per_unit", "matsubara_cutoff", "samples", "seed",
-             "order"}
-_LIST_KEYS = {"h", "dims"}
-_STR_KEYS = {"backend", "mode", "boundary", "observable"}
+             "order", "sites", "grid"}
+_LIST_KEYS = {"h", "dims", "tau_grid", "sizes", "h_values"}  # dims and sizes of ints
+_STR_KEYS = {"backend", "mode", "boundary", "observable", "check"}
 KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS | _STR_KEYS
+CHOICES = {"backend": ("reweight", "mcmc"), "mode": ("lowT", "highT"),
+           "check": ("trees", "bf", "newton-leibniz", "residuals"), "sites": (1, 2)}
 
 DEFAULTS = {
     "m": 1.0, "a": 1.0, "b": 0.5, "delta": 1.0, "J": 0.25, "beta": 2.0,
@@ -28,6 +33,8 @@ DEFAULTS = {
     "slices_per_unit": 16, "matsubara_cutoff": 50_000, "samples": 100_000,
     "seed": 1, "backend": "reweight", "order": 3, "mode": "lowT",
     "boundary": "periodic", "c": 1.0,
+    "tau_grid": (0.25, 0.5, 1.0), "sites": 1, "grid": 512, "extent": 8.0,
+    "check": "trees", "sizes": (), "h_values": (0.1, 0.05, 0.0),
 }
 
 
@@ -42,15 +49,19 @@ def parse_value(key: str, raw: str):
     raw = raw.strip()
     try:
         if key in _LIST_KEYS:
-            parts = raw.replace(",", " ").split()
-            return tuple(float(p) if key == "h" else int(p) for p in parts)
+            kind = int if key in ("dims", "sizes") else float
+            return tuple(kind(p) for p in raw.replace(",", " ").split())
+        value = raw
         if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)  # float reads "inf" and "infinity" in any case
+            value = int(raw)
+        elif key in _FLOAT_KEYS:
+            value = float(raw)  # float reads "inf" and "infinity" in any case
     except ValueError:
         raise ConfigError(f"cannot parse {key} = {raw!r}") from None
-    return raw
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ConfigError(f"{key} must be one of {', '.join(map(str, CHOICES[key]))}, "
+                          f"got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> dict:

@@ -6,9 +6,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .lattice import Lattice, Rod, RodMode, RodPartition
+from .lattice import Lattice
 
 
 @dataclass(frozen=True)
@@ -59,21 +57,3 @@ class FieldGrid:
         """(site_index, slice) for every grid point, ordered by flat id."""
         return tuple((s, t) for s in range(self.lattice.n_sites)
                      for t in range(self.n_slices))
-
-    def rod_points(self, rod: Rod, partition: RodPartition) -> np.ndarray:
-        """Flat ids of the grid points belonging to one rod."""
-        if partition.mode is RodMode.HIGH_TEMPERATURE:
-            slices = np.arange(self.n_slices)
-        else:
-            per_rod = self.n_slices // partition.rods_per_site
-            if per_rod * partition.rods_per_site != self.n_slices:
-                raise ValueError("n_slices must be divisible by the rod count per site")
-            slices = np.arange(rod.time_index * per_rod, (rod.time_index + 1) * per_rod)
-        return rod.site * self.n_slices + slices
-
-    def rod_of_point(self, flat: int, partition: RodPartition) -> Rod:
-        site, s = self.point_pair(flat)
-        if partition.mode is RodMode.HIGH_TEMPERATURE:
-            return Rod(site=site, time_index=0)
-        per_rod = self.n_slices // partition.rods_per_site
-        return Rod(site=site, time_index=s // per_rod)

@@ -1,17 +1,18 @@
-"""Lattice boxes, their harmonic mode energies, and rod partitions.
+"""Lattice boxes, their harmonic mode energies, and rod modes.
 
 Sites live on a nu-dimensional box with side lengths ``dims``; displacement
 trajectories attach a periodic imaginary-time circle of circumference
 ``beta_hat`` to every site.  The space-time box is tiled by "rods": one site
 together with one unit time interval (low-temperature mode) or one site with
-the whole time circle (high-temperature mode).
+the whole time circle (high-temperature mode); ``ClusterInstance.rod_points``
+lays them out on the grid.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -101,47 +102,3 @@ def dispersion_grid(lat: Lattice, a: float, J: float) -> np.ndarray:
             indexing="ij",
         )
     return a + 4.0 * J * sum(grids)
-
-
-@dataclass(frozen=True)
-class Rod:
-    """An elementary space-time cell: one site and one unit time interval."""
-
-    site: int
-    time_index: int
-
-
-@dataclass(frozen=True)
-class RodPartition:
-    lattice: Lattice
-    beta_hat: float
-    mode: RodMode
-    rods: tuple[Rod, ...] = field(repr=False)
-
-    @property
-    def rods_per_site(self) -> int:
-        return len(self.rods) // self.lattice.n_sites
-
-
-def rod_partition(lat: Lattice, beta_hat: float, mode: RodMode) -> RodPartition:
-    """Tile the space-time box into rods.
-
-    Low-temperature mode partitions the time circle into unit intervals and
-    requires an integer beta_hat; high-temperature mode keeps the whole circle
-    as a single interval per site and accepts any beta_hat > 0.
-    """
-    if not (beta_hat > 0) or math.isinf(beta_hat):
-        raise ValueError("rod partition requires finite beta_hat > 0")
-    if mode is RodMode.LOW_TEMPERATURE:
-        r = round(beta_hat)
-        if abs(beta_hat - r) > 1e-12 or r < 1:
-            raise ValueError("low-temperature rods need integer beta_hat")
-        per_site = r
-    else:
-        per_site = 1
-    rods = tuple(
-        Rod(site=s, time_index=t)
-        for s in range(lat.n_sites)
-        for t in range(per_site)
-    )
-    return RodPartition(lattice=lat, beta_hat=float(beta_hat), mode=mode, rods=rods)

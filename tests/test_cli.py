@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -7,8 +8,8 @@ import pytest
 
 from anhcrystal import config as config_module
 from anhcrystal import sampler
-from anhcrystal.cli import main, parse_observable
-from anhcrystal.config import (ConfigError, load_config, parse_config_text,
+from anhcrystal.cli import main, make_parser, parse_observable
+from anhcrystal.config import (KEYS, ConfigError, load_config, parse_config_text,
                                write_manifest)
 
 PACKAGE = Path(config_module.__file__).parent
@@ -63,7 +64,7 @@ class TestConfig:
             parse_config_text("nonsense = 3\n")
 
     @pytest.mark.parametrize("key", ["threads", "rho", "rho_prop", "c_offset", "n_max",
-                                     "bc", "check"])
+                                     "bc"])
     def test_removed_keys_are_unknown(self, key):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_config_text(f"{key} = 1\n")
@@ -92,6 +93,19 @@ class TestConfig:
         data = json.loads(path.read_text())
         assert data["subcommand"] == "thresholds"
         assert data["config"]["samples"] == cfg["samples"]
+
+    @pytest.mark.parametrize("text, bad", [("mode = hight", "hight"), ("backend = foo", "foo"),
+                                           ("check = nope", "nope"), ("sites = 3", "3")])
+    def test_choice_keys_checked_in_files(self, text, bad):
+        with pytest.raises(ConfigError, match=f"must be one of .*got '{bad}'"):
+            parse_config_text(text + "\n")
+
+    def test_readme_table_lists_every_key(self):
+        readme = (PACKAGE.parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+        cells = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+        listed = [key.strip() for cell in cells for key in cell.split(",")]
+        assert sorted(listed) == sorted(KEYS)
 
 
 class TestObservableGrammar:
@@ -164,6 +178,27 @@ class TestSampleCommand:
 
 
 class TestParserErrors:
+    FLAGS = {
+        "thresholds": set(),
+        "covariance": {"--n-max", "--tau-grid", "--nu", "--dims", "--boundary"},
+        "sample": {"--samples", "--slices-per-unit", "--backend", "--observable", "--boundary",
+                   "--nu", "--dims"},
+        "cluster": {"--order", "--mode", "--observable", "--check", "--samples"},
+        "oracle": {"--sites", "--grid", "--extent", "--tau-grid"},
+        "uniqueness": {"--sizes", "--samples"},
+        "order-param": {"--h-values", "--sizes", "--samples"},
+        "verify": set(),
+    }
+
+    def test_flags_of_every_subcommand(self):
+        parser = make_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.FLAGS)
+        for name, command in sub.choices.items():
+            assert set(command._option_string_actions) - {"-h", "--help"} == self.FLAGS[name]
+            # every flag sets a configuration key
+            assert {a.dest for a in command._actions if a.dest != "help"} <= KEYS
+
     @pytest.mark.parametrize("argv, bad", [(["oracle", "--grid", "abc"], "abc"),
                                            (["sample", "--backend", "foo"], "foo"),
                                            (["cluster", "--check", "nope"], "nope")],
@@ -209,6 +244,15 @@ class TestCovarianceCommand:
         assert tables["zero"] == tables["dirichlet"] == tables["flag"] != tables["periodic"]
         for row in tables["zero"].strip().splitlines()[1:]:
             assert float(row.split(",")[-1]) == 0.0
+
+    def test_tau_beyond_the_period_leaves_no_result(self, tmp_path, capsys):
+        # the series form is defined for |tau| <= beta_hat = 2; every row is
+        # computed before the table is written
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "covariance", "--n-max", "200", "--tau-grid", "0.5,5"])
+        assert rc == 2
+        assert "|tau| must not exceed beta_hat" in _json_error(capsys)
+        assert not (out / "covariance.csv").exists()
 
     def test_unknown_boundary_rejected(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path / "out"), "covariance", "--boundary", "open"])
@@ -276,7 +320,7 @@ class TestClusterCommand:
         assert rc == 2
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "hight" in payload["error"]
-        assert all(p.name.endswith(".manifest.json") for p in out.iterdir())
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("check, samples, rule", [("residuals", "1050", "multiple of 100"),
@@ -531,3 +575,48 @@ class TestOracleCommand:
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                    "oracle", "--sites", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("extra, message", [({"d": 1, "h": (0.3,)}, "need h = 0"),
+                                                ({"d": 2}, "needs d = 1")],
+                             ids=["field", "vector"])
+    def test_field_and_vector_displacements_rejected(self, tmp_path, capsys, extra, message):
+        # the grid Hamiltonian has no field term and one scalar coordinate per site
+        cfg = write_config(tmp_path, **extra)
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "--out", str(out), "oracle", "--grid", "64"])
+        assert rc == 2
+        assert message in _json_error(capsys)
+        assert not (out / "oracle.csv").exists()
+
+
+class TestManifestRoundTrip:
+    # each run sets inputs away from their defaults; a rerun configured from its
+    # manifest alone must write the same files, the manifest included
+    RUNS = {
+        "thresholds": [],
+        "covariance": ["--n-max", "100", "--tau-grid", "0.5", "--dims", "4"],
+        "sample": ["--samples", "1000", "--dims", "2", "--observable", "phi[1,0.5,0]"],
+        "cluster": ["--check", "bf"],
+        "oracle": ["--grid", "64", "--extent", "6", "--tau-grid", "0.25"],
+        "uniqueness": ["--sizes", "4", "--samples", "500"],
+        "order-param": ["--sizes", "2", "--h-values", "0.1,0", "--samples", "500"],
+        "verify": [],
+    }
+
+    @staticmethod
+    def config_text(config: dict) -> str:
+        return "".join(f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}\n"
+                       for key, value in config.items())
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_manifest_reproduces_the_run(self, tmp_path, command):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["--out", str(first), command, *self.RUNS[command]]) in (0, 1)
+        manifest = json.loads((first / f"{command}.manifest.json").read_text())
+        cfg = tmp_path / "from_manifest.cfg"
+        cfg.write_text(self.config_text(manifest["config"]))
+        assert main(["--config", str(cfg), "--out", str(second), command]) in (0, 1)
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir()) and len(names) == 2
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name

@@ -1,12 +1,21 @@
 import pytest
 
+from anhcrystal.cluster import ClusterInstance
 from anhcrystal.grid import FieldGrid
-from anhcrystal.lattice import Lattice, Rod, RodMode, rod_partition
+from anhcrystal.lattice import Lattice, RodMode
+from anhcrystal.sampler import Ensemble, periodic_bc
 
 
 @pytest.fixture
 def grid():
     return FieldGrid(Lattice(1, (2,)), beta_hat=2.0, n_slices=8)
+
+
+def expansion_on(grid, mode, point=0):
+    """A cluster expansion on the grid's box, its observable at one flat point."""
+    ens = Ensemble(lattice=grid.lattice, a=1.0, J=0.25, beta_hat=grid.beta_hat,
+                   n_slices=grid.n_slices, b_m=0.3, delta_m=1.0, d=1, bc=periodic_bc())
+    return ClusterInstance(ensemble=ens, mode=mode, monomials={point: 2})
 
 
 class TestFieldGrid:
@@ -31,27 +40,26 @@ class TestFieldGrid:
             grid.slice_of(0.13)
 
     def test_rod_points_tile_the_grid(self, grid):
-        part = rod_partition(grid.lattice, grid.beta_hat, RodMode.LOW_TEMPERATURE)
-        seen = []
-        for rod in part.rods:
-            seen.extend(grid.rod_points(rod, part).tolist())
-        assert sorted(seen) == list(range(grid.n_points))
+        rods = expansion_on(grid, RodMode.LOW_TEMPERATURE).rod_points
+        assert rods.shape == (4, 4)
+        assert sorted(rods.ravel().tolist()) == list(range(grid.n_points))
 
     def test_high_temperature_rods_are_columns(self):
         grid = FieldGrid(Lattice(1, (3,)), beta_hat=0.4, n_slices=6)
-        part = rod_partition(grid.lattice, grid.beta_hat, RodMode.HIGH_TEMPERATURE)
-        pts = grid.rod_points(part.rods[1], part)
-        assert pts.tolist() == [6, 7, 8, 9, 10, 11]
+        rods = expansion_on(grid, RodMode.HIGH_TEMPERATURE).rod_points
+        assert rods[1].tolist() == [6, 7, 8, 9, 10, 11]
 
     def test_rod_of_point(self, grid):
-        part = rod_partition(grid.lattice, grid.beta_hat, RodMode.LOW_TEMPERATURE)
-        assert grid.rod_of_point(grid.point(1, 5), part) == Rod(site=1, time_index=1)
+        # site 1, slice 5 lies in site 1's second unit interval: rod 2 * 1 + 1
+        point = grid.point(1, 5)
+        inst = expansion_on(grid, RodMode.LOW_TEMPERATURE, point)
+        assert inst.x1_rod_ids == (3,)
+        assert inst.x1_points.tolist() == [grid.point(1, s) for s in range(4, 8)]
 
     def test_rejects_incommensurate_slices(self):
         grid = FieldGrid(Lattice(1, (2,)), beta_hat=3.0, n_slices=8)
-        part = rod_partition(grid.lattice, 3.0, RodMode.LOW_TEMPERATURE)
-        with pytest.raises(ValueError):
-            grid.rod_points(part.rods[0], part)
+        with pytest.raises(ValueError, match="divisible"):
+            expansion_on(grid, RodMode.LOW_TEMPERATURE).rod_points
 
     def test_requires_finite_beta(self):
         import math

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anhcrystal.lattice import Boundary, Lattice, RodMode, dispersion_grid, rod_partition
+from anhcrystal.cluster import ClusterInstance
+from anhcrystal.lattice import Boundary, Lattice, RodMode, dispersion_grid
+from anhcrystal.sampler import Ensemble, periodic_bc
 
 
 def dispersion(k, a: float, J: float) -> float:
@@ -186,25 +188,30 @@ class TestTorusDistance:
 
 
 class TestRodPartition:
+    @staticmethod
+    def rods(n_sites, beta_hat, mode, n_slices=6):
+        """The rods of a cluster expansion on a periodic chain, one row of flat ids each."""
+        ens = Ensemble(lattice=Lattice(1, (n_sites,)), a=1.0, J=0.25, beta_hat=beta_hat,
+                       n_slices=n_slices, b_m=0.3, delta_m=1.0, d=1, bc=periodic_bc())
+        return ClusterInstance(ensemble=ens, mode=mode, monomials={0: 2}).rod_points
+
     def test_low_temperature_count(self):
-        lat = Lattice(1, (2,))
-        part = rod_partition(lat, 3.0, RodMode.LOW_TEMPERATURE)
-        assert len(part.rods) == 6
+        assert len(self.rods(2, 3.0, RodMode.LOW_TEMPERATURE)) == 6
 
     def test_high_temperature_one_per_site(self):
-        lat = Lattice(1, (4,))
-        part = rod_partition(lat, 0.37, RodMode.HIGH_TEMPERATURE)
-        assert len(part.rods) == 4
+        rods = self.rods(4, 0.37, RodMode.HIGH_TEMPERATURE, n_slices=4)
+        assert rods.shape == (4, 4)
 
     def test_rejects_fractional_beta(self):
-        with pytest.raises(ValueError):
-            rod_partition(Lattice(1, (2,)), 2.5, RodMode.LOW_TEMPERATURE)
+        with pytest.raises(ValueError, match="integer beta_hat"):
+            self.rods(2, 2.5, RodMode.LOW_TEMPERATURE)
 
     def test_partition_is_bijection(self):
-        lat = Lattice(1, (4,))
-        part = rod_partition(lat, 3.0, RodMode.LOW_TEMPERATURE)
-        cells = {(rod.site, rod.time_index) for rod in part.rods}
-        assert cells == set(itertools.product(range(4), range(3)))
+        # rod r is site r // 3 over unit interval r % 3: site first, then time
+        rods = self.rods(4, 3.0, RodMode.LOW_TEMPERATURE)
+        cells = [(int(pts[0]) // 6, int(pts[0]) % 6 // 2) for pts in rods]
+        assert cells == list(itertools.product(range(4), range(3)))
+        assert all(pts.tolist() == list(range(pts[0], pts[0] + 2)) for pts in rods)
 
 
 class TestBonds:
