@@ -24,6 +24,18 @@ rows are made a chunk at a time (``scrambled_normals``), and the package's
 one batch engine, ``sampler.accumulate``, sums them into one batch per
 scramble, as it sums the plain draws of the other estimators.
 
+The last block Y_n of every tree is a leaf with exactly one derivative end,
+so the per-row tree sum is linear in the leaf's factor e^{-V(Y_n)} q_1(phi_w),
+q_1(y) = dt b_m delta_m y exp(-delta_m y^2 / 2).  Given s and the normals of
+the earlier blocks, phi_w is Gaussian with a mean and variance read off the
+row's Cholesky root, so E[q_1(phi_w) | s, z_{<n}] has a closed form, and the
+factor is swapped for (e^{-V(Y_n)} - 1) q_1(phi_w) + E[q_1(phi_w) | s, z_{<n}]:
+the subtracted control q_1 - E[q_1 | ...] multiplies a function of s and
+z_{<n} only, so its mean is exactly zero and the estimand is unchanged.
+The closed form is ``gaussian_bump_mean`` times mean / (1 + delta_m var)
+(``gaussian_bump_first_moment``), so one Gaussian mean serves this control
+and the order-2 residual's rest-block control.
+
 On the grid every functional identity becomes an exact finite-dimensional
 Gaussian integration-by-parts identity, which is what the verification suite
 exploits.  Two independent evaluators are provided: a symbolic expansion into
@@ -374,6 +386,11 @@ def gaussian_bump_mean(mean, var, delta_m: float):
     return np.exp(-0.5 * delta_m * mean ** 2 / spread) / np.sqrt(spread)
 
 
+def gaussian_bump_first_moment(mean, var, delta_m: float):
+    """E[phi exp(-delta_m phi^2 / 2)] for phi ~ N(mean, var), in closed form."""
+    return mean / (1.0 + delta_m * var) * gaussian_bump_mean(mean, var, delta_m)
+
+
 @dataclass
 class ClusterInstance:
     """An expansion setup: desk-scale box, rod partition, pinned observable.
@@ -473,18 +490,17 @@ class ClusterInstance:
         return pts, base
 
     def sample_block(self, blocks, s, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map standard normals z (batch, n_pts) through the kernel's Cholesky root.
+        """Map standard normals z (batch, n_pts) through the kernel's Cholesky root: (root, phi).
 
         The interpolated kernel is positive definite for s in [0, 1] (a convex
         mix of block restrictions of a positive definite kernel), and the
         Cholesky factor varies smoothly in s, so common z keep estimates
         smooth in s.  A 2-d s gives each row of z its own root.
         """
-        pts, mat = self.block_matrix(blocks, s)
-        chol = np.linalg.cholesky(mat)
+        chol = np.linalg.cholesky(self.block_matrix(blocks, s)[1])
         if chol.ndim == 3:
-            return pts, np.matmul(chol, z[:, :, None])[:, :, 0]
-        return pts, z @ chol.T
+            return chol, np.matmul(chol, z[:, :, None])[:, :, 0]
+        return chol, z @ chol.T
 
     # -- evaluators ---------------------------------------------------------
 
@@ -534,7 +550,8 @@ class ClusterInstance:
         blocks = self.blocks_for(yseq)
         return self._contract([tree], blocks, phi_flat[:, np.concatenate(blocks)])[0][0]
 
-    def _contract(self, trees, blocks, phi: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    def _contract(self, trees, blocks, phi: np.ndarray,
+                  leaf: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
         """Per-sample chained-derivative values of each tree, and the blocks' Gibbs weight.
 
         The leading columns of ``phi`` hold the field at the points of the
@@ -548,15 +565,21 @@ class ClusterInstance:
         most ends any of the trees places there, and its derivative tensors
         are shared between trees.  The weight reuses the ladders' Gaussian
         factors and equals ``gibbs_weight`` on those points bit for bit.
+
+        ``leaf``, if given, is the last block's one-end tensor, shape
+        (batch, points of the block), with that block's Gibbs factor already
+        in it: it stands in for the block's ladder, and the weight covers
+        the earlier blocks only.
         """
-        edges = np.cumsum([0] + [len(b) for b in blocks])
+        body = blocks if leaf is None else blocks[:-1]
+        edges = np.cumsum([0] + [len(b) for b in body])
         caches = [_PowerCache(phi[:, lo:hi], self.ensemble.delta_m)
                   for lo, hi in zip(edges, edges[1:])]
         lines = [[(tree.eta(l) - 1, l - 1) for l in range(2, tree.order + 1)]
                  for tree in trees]
         n_ends = [max(sum((pa, pb).count(bi) for pa, pb in tl) for tl in lines)
-                  for bi in range(len(blocks))]
-        q = [self._block_q(c, b, r) for c, b, r in zip(caches, blocks, n_ends)]
+                  for bi in range(len(body))]
+        q = [self._block_q(c, b, r) for c, b, r in zip(caches, body, n_ends)]
         tensors: dict = {}  # (block, ends) -> derivative tensor
         out = []
         for tree_lines in lines:
@@ -566,7 +589,7 @@ class ClusterInstance:
                 sub = "".join(_LETTERS[2 * li + side] for li, line in enumerate(tree_lines)
                               for side in (0, 1) if line[side] == bi)
                 if (bi, len(sub)) not in tensors:
-                    tensors[bi, len(sub)] = block_tensor(*q[bi], len(sub))
+                    tensors[bi, len(sub)] = block_tensor(*q[bi], len(sub)) if bi < len(q) else leaf
                 operands.append(tensors[bi, len(sub)])
                 subscripts.append("n" + sub)
             for li, (pa, pb) in enumerate(tree_lines):
@@ -593,6 +616,12 @@ class ClusterInstance:
         Each row draws phi = L(s) z from the interpolated kernel on the
         blocks' own points, and every tree is scored on that phi with its
         weight f(eta; s); the Gibbs weight multiplies the tree sum once.
+        From order 2 on, the leaf Y_n's factor e^{-V(Y_n)} q_1(phi_w), which
+        every tree holds once, is swapped for ``_leaf_tensor``'s, where q_1
+        gives way to its mean given s and the earlier blocks' normals: the
+        control q_1 - E[q_1 | s, z_{<n}] multiplies only functions of those,
+        so its mean is zero and the term's mean is unchanged.  That mean is
+        ``gaussian_bump_mean``'s closed form, which R2's rest block uses too.
         ``map_rows`` does this work once per chunk, whose n_pts^2-value
         kernels ``accumulate`` bounds.  Trees share rows, so the error is the
         jackknife error of the per-row tree sum over the scrambles.  The
@@ -606,17 +635,39 @@ class ClusterInstance:
         blocks = self.blocks_for(yseq)
         trees = enumerate_trees(n)
         n_pts = sum(len(b) for b in blocks)
+        lead = n_pts - len(blocks[-1])   # points before the leaf Y_n
 
         def work(u):
-            s = ndtr(u[:, :n - 1])
-            _, phi = self.sample_block(blocks, s, u[:, n - 1:])
-            ks, weight = self._contract(trees, blocks, phi)
+            s, z = ndtr(u[:, :n - 1]), u[:, n - 1:]
+            root, phi = self.sample_block(blocks, s, z)
+            leaf = self._leaf_tensor(root, z, phi, lead) if n > 1 else None
+            ks, weight = self._contract(trees, blocks, phi, leaf)
             return weight * sum(f_factor(tree, s) * k for tree, k in zip(trees, ks))
 
         source = map_rows(scrambled_normals(n_samples, n - 1 + n_pts, seed), work, n_pts ** 2)
         sums = accumulate(source, lambda v: (len(v), v.sum()), n_samples)
         k, dk = jackknife(sums, lambda c: c[1] / c[0])
         return float(k), float(dk)
+
+    def _leaf_tensor(self, root: np.ndarray, z: np.ndarray, phi: np.ndarray,
+                     lead: int) -> np.ndarray:
+        """The leaf's one-end tensor e^{-V(Y_n)} q_1(phi), q_1 swapped for its conditional mean.
+
+        ``root`` holds each row's Cholesky root, phi = root z, and the leaf
+        Y_n is the points from ``lead`` on.  q_1(y) = c delta_m y
+        exp(-delta_m y^2 / 2) is the leaf's first ladder member.  Given the
+        normals z_pre of the earlier blocks, phi_w is Gaussian with mean
+        (root[w, :lead] z_pre) and variance |root[w, lead:]|^2, so the result,
+        (e^{-V(Y_n)} - 1) q_1(phi) + E[q_1(phi) | z_pre], has the plain
+        tensor's conditional mean.
+        """
+        c, delta_m = self.gibbs_weight_coeff, self.ensemble.delta_m
+        mean = np.einsum("nij,nj->ni", root[:, lead:, :lead], z[:, :lead])
+        var = np.einsum("nij,nij->ni", root[:, lead:, lead:], root[:, lead:, lead:])
+        phi = phi[:, lead:]
+        bump = np.exp(-0.5 * delta_m * phi ** 2)
+        return c * delta_m * ((self._bump_weight(bump) - 1.0)[:, None] * phi * bump
+                              + gaussian_bump_first_moment(mean, var, delta_m))
 
     def ratio_table(self, yseqs, n_samples: int, seed: int) -> np.ndarray:
         """Batch sums whose ratios F_j = Z(complement of X_n)/Z >= 1 belong to yseqs[j].

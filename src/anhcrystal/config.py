@@ -80,7 +80,11 @@ def parse_config_text(text: str) -> dict:
 def load_config(path: str | Path | None, overrides: dict | None = None) -> dict:
     cfg = dict(DEFAULTS)
     if path is not None:
-        cfg.update(parse_config_text(Path(path).read_text()))
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read configuration file {path}: {exc.strerror}") from None
+        cfg.update(parse_config_text(text))
     for key, value in (overrides or {}).items():
         if value is not None:
             cfg[key] = value

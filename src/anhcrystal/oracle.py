@@ -12,8 +12,10 @@ flips parity and X^2 keeps it, so the total parity p_i p_j splits the product
 basis, and inside each parity sector the site swap ij <-> ji splits symmetric
 from antisymmetric states: four blocks of about k^2 / 4, each assembled from
 index arrays without a Kronecker product.  Operators diagonal on the grid
-(x, x^2) act by scaling rows, and a one-site factor X(x)1 or 1(x)X on the
-kept two-site states by contracting X with one product-basis index.  Thermal
+(x, x^2) act by scaling rows; their one-site matrix elements are formed on
+half the grid, and only between the parity blocks they couple.  A one-site
+factor X(x)1 or 1(x)X acts on the kept two-site states by contracting X with
+one product-basis index.  Thermal
 traces and imaginary-time displacement correlations from the spectrum
 validate the covariance formulas and the Monte Carlo sampler from a
 completely different direction.
@@ -81,6 +83,28 @@ def _sector_lowest(entries, sectors, flip: np.ndarray, keep: int):
     return energies[order], vecs, signs
 
 
+def _matrix_elements(vecs: np.ndarray, parity: np.ndarray, weight: np.ndarray,
+                     odd: bool) -> np.ndarray:
+    """vecs.T @ (weight * vecs), formed only on the blocks that can be nonzero.
+
+    The states ``vecs`` have parities ``parity`` under the grid reflection
+    b -> n - 1 - b.  A grid weight that is odd under it, like x, couples only
+    states of opposite parity; an even one, like x^2, only states of equal
+    parity.  Each such block's summand is even, so it is summed over the
+    lower half of the grid and doubled, plus the centre point of an odd grid.
+    """
+    even, flipped = np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)
+    half, centre = divmod(len(weight), 2)
+    low = vecs[:half + centre]
+    scaled = np.concatenate([2.0 * weight[:half], weight[half:half + centre]])
+    out = np.zeros((len(parity),) * 2)
+    for rows, cols in [(even, flipped)] if odd else [(even, even), (flipped, flipped)]:
+        block = low[:, rows].T @ (scaled[:, None] * low[:, cols])
+        out[np.ix_(rows, cols)] = block
+        out[np.ix_(cols, rows)] = block.T
+    return out
+
+
 @dataclass
 class GridHamiltonian:
     """Rescaled Hamiltonian for 1 or 2 sites, scalar displacement."""
@@ -124,10 +148,10 @@ class GridHamiltonian:
         k = n if self.n_sites == 1 else math.isqrt(4 * self.n_states - 1) + 1
         e, vecs, parity = _sector_lowest(lambda r, c: ham[np.ix_(r, c)], [np.arange(n)],
                                          np.arange(n)[::-1], k)
-        xk = vecs.T @ (x[:, None] * vecs)
+        xk = _matrix_elements(vecs, parity, x, odd=True)
         if self.n_sites == 1:
             return e - self.energy_shift, [xk]
-        xsq = vecs.T @ (x[:, None] ** 2 * vecs)
+        xsq = _matrix_elements(vecs, parity, x ** 2, odd=False)
         # product state |ij> is index i k + j; x flips a state's parity and x^2
         # keeps it, so H keeps the total parity p_i p_j and commutes with ij <-> ji
         i, j = np.divmod(np.arange(k * k), k)

@@ -82,6 +82,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("just words\n")
 
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        missing = tmp_path / "missing.cfg"
+        assert main(["--config", str(missing), "--out", str(out), "thresholds"]) == 2
+        assert str(missing) in _json_error(capsys)
+        assert not out.exists()
+
     def test_overrides_beat_file(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_config(path, {"seed": 42})

@@ -13,7 +13,8 @@ from anhcrystal.cluster import (RQMC_BATCHES, ClusterInstance, PolyExp, Symbolic
                                 Tree, battle_federbush_sum, block_tensor, delta_apply,
                                 derivative_ladder, enumerate_trees,
                                 evaluate_ladder, evaluate_symbolic, f_factor,
-                                gauss_legendre_unit, gaussian_bump_mean,
+                                gauss_legendre_unit, gaussian_bump_first_moment,
+                                gaussian_bump_mean,
                                 newton_leibniz_report, residual_decay_report,
                                 scrambled_normals)
 from anhcrystal.lattice import Lattice, RodMode
@@ -419,6 +420,30 @@ class TestClusterTerms:
             assert inst.grid.n_points == 16 and max(sizes) <= budget, (budget, max(sizes))
             assert chunked == pytest.approx(whole_r2, rel=1e-12, abs=0.0)
 
+    def test_leaf_control_has_zero_mean(self):
+        # at one s and fixed normals of X_1 and Y_2, the leaf tensor with its
+        # control differs from e^{-V(Y_3)} q_1(phi) by q_1(phi) - E[q_1 | z_pre],
+        # which averages to zero over the leaf's own normals; at this s the
+        # earlier blocks carry 6 % of the leaf's variance, so its unconditional
+        # variance would miss by about 6 sigma
+        inst = make_instance(b_m=0.3, delta_m=2.0)
+        blocks = inst.blocks_for(inst.free_rod_ids[:2])
+        lead = len(blocks[0]) + len(blocks[1])
+        root = np.linalg.cholesky(inst.block_matrix(blocks, np.array([[0.9, 0.9]]))[1][0])
+        rng = np.random.default_rng(41)
+        n_rows, n_pts = 200_000, len(root)
+        z = np.empty((n_rows, n_pts))
+        z[:, :lead] = rng.standard_normal(lead)
+        z[:, lead:] = rng.standard_normal((n_rows, n_pts - lead))
+        phi = z @ root.T
+        leaf = inst._leaf_tensor(np.broadcast_to(root, (n_rows, n_pts, n_pts)), z, phi, lead)
+        q1 = derivative_ladder(0, 1, inst.gibbs_weight_coeff, inst.ensemble.delta_m)[1]
+        plain = q1(phi[:, lead:]) * inst.gibbs_weight(phi, slice(lead, None))[:, None]
+        control = plain - leaf
+        sigma = control.std(axis=0) / math.sqrt(n_rows)
+        assert np.all(np.abs(control.mean(axis=0)) <= 4.0 * sigma), control.mean(axis=0) / sigma
+        assert np.all(sigma <= 0.01 * plain.std(axis=0)), (sigma, plain.std(axis=0))
+
     def test_second_step_memory_does_not_grow_with_rows(self, monkeypatch):
         # 64 points, chunks of 1000 rows: four times the rows, the same peak;
         # a first small call fills the caches (scipy's Sobol direction table)
@@ -494,6 +519,25 @@ class TestSharedDraws:
                          math.sqrt(2.0 * math.pi))
             assert gaussian_bump_mean(mean, var, delta) == pytest.approx(quad, rel=1e-12)
 
+    @pytest.mark.parametrize("mean", [0.0, 0.4, -1.3, 3.0])
+    @pytest.mark.parametrize("var, delta", [(1.0, 1.0), (0.3, 2.5), (2.0, 0.4), (0.01, 5.0),
+                                            (40.0, 5.0), (1e-4, 0.5)])
+    def test_gaussian_bump_first_moment_matches_quadrature(self, mean, var, delta):
+        # E[phi exp(-delta phi^2 / 2)] for phi ~ N(mean, var), by Gauss-Hermite
+        # quadrature against the narrower of the two Gaussian factors, so a
+        # wide field over a narrow bump (delta var = 200) is resolved too
+        x, w = np.polynomial.hermite_e.hermegauss(120)
+        w = w / math.sqrt(2.0 * math.pi)
+        if delta * var <= 1.0:
+            phi = mean + math.sqrt(var) * x
+            quad = np.sum(w * phi * np.exp(-0.5 * delta * phi ** 2))
+        else:
+            phi = x / math.sqrt(delta)
+            density = np.exp(-0.5 * (phi - mean) ** 2 / var) / math.sqrt(var * delta)
+            quad = np.sum(w * phi * density)
+        got = gaussian_bump_first_moment(mean, var, delta)
+        assert got == pytest.approx(float(quad), rel=1e-12, abs=1e-15)
+
     def test_second_step_residual_vanishes_when_free(self):
         inst = make_instance(b_m=0.0)
         assert inst.second_step_residual(2000, seed=1) == (0.0, 0.0)
@@ -562,8 +606,10 @@ class TestExpansionIdentity:
         # every drop is resolved by the error bars, not left to the seed
         for (hi, dhi), (lo, dlo) in zip(rep.residuals, rep.residuals[1:]):
             assert hi - lo >= 3.0 * math.hypot(dhi, dlo), rep.residuals
-        # pathwise order-2 residual and measured order-3 term agree
+        # pathwise order-2 residual and measured order-3 term agree, and the
+        # comparison resolves the order-3 term
         assert vals[2] <= 3.0 * rep.residuals[2][1], rep.residuals
+        assert rep.residuals[2][1] <= 0.05 * abs(rep.orders[2][0]), (rep.residuals, rep.orders)
 
     def test_engine_rejects_vector_displacements(self):
         lat = Lattice(1, (2,))
@@ -582,7 +628,10 @@ class TestPinnedOutputs:
     order-2 chunks kept their rows, so those errors match exactly; the
     cluster-term means are now the jackknife's ratio of summed batch sums,
     not the mean of every row, and the order-3 chunks moved, where einsum
-    may contract in another order: those match to 1e-12.  R1 and the
+    may contract in another order: those match to 1e-12.  The order-2 and
+    order-3 cluster terms and ``order_contribution(3, ...)`` were recorded
+    again when the leaf factor of every term took its conditional-mean
+    control; order 1 has no leaf and kept its values.  R1 and the
     Newton-Leibniz report draw plain normals and match exactly.
     """
 
@@ -595,8 +644,8 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("yseq, n_samples, seed, value, stderr, moved", [
         ((), 2000, 5, 0.746646434748595, 0.005825346690220695, False),
-        ((1,), 4000, 7, 0.013957531742223328, 0.000480401651572531, False),
-        ((1, 2), 4000, 9, -7.816356742428158e-06, 4.094767750249881e-05, True),
+        ((1,), 4000, 7, 0.013988603041319287, 0.0001095794054947604, False),
+        ((1, 2), 4000, 9, 4.7665067299169606e-05, 7.700915704093527e-06, True),
     ])
     def test_cluster_term(self, inst, yseq, n_samples, seed, value, stderr, moved):
         k, dk = inst.cluster_term(yseq, n_samples, seed)
@@ -608,11 +657,11 @@ class TestPinnedOutputs:
                                                            1.532585026591446e-05)
 
     def test_order_three(self, inst):
-        # its F ratios draw plain reference fields, whose noise now sits on the
-        # half-spectrum: 4.1401e-4 +- 1.986e-4 on real-space noise, 0.005 sigma away
+        # with the leaf's q_1 in every term swapped for its conditional mean:
+        # 4.1309e-4 +- 1.982e-4 with the plain leaf factor, 0.88 sigma away
         value, stderr = inst.order_contribution(3, 2000, 271)
-        assert value == pytest.approx(0.00041309171394079687, rel=1e-12, abs=0.0)
-        assert stderr == pytest.approx(0.00019824771558962597, rel=1e-12, abs=0.0)
+        assert value == pytest.approx(0.0005869540952915715, rel=1e-12, abs=0.0)
+        assert stderr == pytest.approx(4.4210331310989946e-05, rel=1e-12, abs=0.0)
 
     def test_first_step_residual(self, inst):
         assert inst.first_step_residual(20_000, 17) == (
