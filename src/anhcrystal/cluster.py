@@ -29,12 +29,27 @@ so the per-row tree sum is linear in the leaf's factor e^{-V(Y_n)} q_1(phi_w),
 q_1(y) = dt b_m delta_m y exp(-delta_m y^2 / 2).  Given s and the normals of
 the earlier blocks, phi_w is Gaussian with a mean and variance read off the
 row's Cholesky root, so E[q_1(phi_w) | s, z_{<n}] has a closed form, and the
-factor is swapped for (e^{-V(Y_n)} - 1) q_1(phi_w) + E[q_1(phi_w) | s, z_{<n}]:
-the subtracted control q_1 - E[q_1 | ...] multiplies a function of s and
-z_{<n} only, so its mean is exactly zero and the estimand is unchanged.
-The closed form is ``gaussian_bump_mean`` times mean / (1 + delta_m var)
-(``gaussian_bump_first_moment``), so one Gaussian mean serves this control
-and the order-2 residual's rest-block control.
+factor is swapped for
+(e^{-V(Y_n)} - b) q_1(phi_w) + b E[q_1(phi_w) | s, z_{<n}]: the subtracted
+control b (q_1 - E[q_1 | ...]) has b and the rest of the row functions of s
+and z_{<n} only, so its mean is exactly zero and the estimand is unchanged.
+b is the leaf's mean-field Gibbs factor, e^{-V} with each point's
+exp(-delta_m phi^2 / 2) replaced by its conditional mean: near 1 where V is
+small, and close to e^{-V(Y_n)} where it is not, as on the CLI default box.
+The closed forms are ``gaussian_bump_mean`` and, for q_1, that times
+mean / (1 + delta_m var) (``gaussian_bump_first_moment``), so one Gaussian
+mean serves these controls and the order-2 residual's rest-block control.
+
+From order 3 on, most of what is left comes from the normals of Y_{n-1}.
+To first order in dt b_m, Y_{n-1}'s factor is X^{(k)}(phi_y) at one point,
+k its derivative ends (one, or two when the leaf hangs from it) and
+X(y) = -dt b_m exp(-delta_m y^2 / 2), and the leaf's is its conditional
+mean g(mu_w) above.  Given s and the normals before Y_{n-1}, (phi_y, mu_w) is
+a Gaussian pair, so E[X^{(k)}(phi_y) g(mu_w)] has a closed form
+(``gaussian_bump_pair_moments``), and each row adds that mean less the
+row's own X^{(k)}(phi_y) g(mu_w), times the two blocks' mean-field factor
+and contracted like their factors: a second control whose conditional mean
+is zero.
 
 On the grid every functional identity becomes an exact finite-dimensional
 Gaussian integration-by-parts identity, which is what the verification suite
@@ -372,6 +387,20 @@ def block_tensor(q: list[np.ndarray], mono_pos: list[int], n_ends: int) -> np.nd
     return np.moveaxis(out, -1, 0)
 
 
+@functools.lru_cache(maxsize=256)
+def _contraction_order(subscripts: str, shapes: tuple) -> tuple:
+    return tuple(np.einsum_path(subscripts, *(np.broadcast_to(0.0, s) for s in shapes),
+                                optimize="greedy")[0])
+
+
+def _contract_rows(subscripts: str, *operands) -> np.ndarray:
+    """einsum(subscripts + "->n") in einsum's greedy order, found once per shape:
+    the search costs as much as a contraction over a chunk of rows."""
+    subscripts += "->n"
+    return np.einsum(subscripts, *operands, optimize=_contraction_order(
+        subscripts, tuple(op.shape for op in operands)))
+
+
 # -- the expansion instance --------------------------------------------------------
 
 
@@ -389,6 +418,50 @@ def gaussian_bump_mean(mean, var, delta_m: float):
 def gaussian_bump_first_moment(mean, var, delta_m: float):
     """E[phi exp(-delta_m phi^2 / 2)] for phi ~ N(mean, var), in closed form."""
     return mean / (1.0 + delta_m * var) * gaussian_bump_mean(mean, var, delta_m)
+
+
+def gaussian_bump_pair_moments(mean_a, mean_b, var_a, var_b, cov, delta_a, delta_b):
+    """(E[a b E], E[(1 - delta_a a^2) b E]), E = exp(-(delta_a a^2 + delta_b b^2) / 2),
+    for (a, b) jointly Gaussian, in closed form.
+
+    Tilting by E keeps (a, b) Gaussian, with mean (I + S D)^{-1} m and
+    covariance (I + S D)^{-1} S, where m and S are the pair's mean and
+    covariance and D = diag(delta_a, delta_b); the mean of E itself is
+    det(I + S D)^{-1/2} exp(-m^T D (I + S D)^{-1} m / 2).  No inverse of S
+    is taken, so a degenerate pair (var_b = 0) is fine.
+    """
+    # in place where it can be: the arrays hold one value per row and point pair
+    spread_a, spread_b = 1.0 + delta_a * var_a, 1.0 + delta_b * var_b
+    cov2 = cov * cov
+    inv = spread_a * spread_b
+    inv -= (delta_a * delta_b) * cov2
+    inv = 1.0 / inv                                     # 1 / det(I + S D)
+    tilt_a = spread_b * mean_a
+    tilt_a -= cov * (delta_b * mean_b)
+    tilt_a *= inv
+    tilt_b = spread_a * mean_b
+    tilt_b -= cov * (delta_a * mean_a)
+    tilt_b *= inv
+    cov_tilt = cov * inv
+    var_tilt_a = var_a * spread_b
+    var_tilt_a -= delta_b * cov2
+    var_tilt_a *= inv
+    norm = (-0.5 * delta_a * mean_a) * tilt_a
+    norm -= (0.5 * delta_b * mean_b) * tilt_b
+    norm = np.exp(norm) * np.sqrt(inv)
+    first = tilt_a * tilt_b
+    first += cov_tilt
+    first *= norm
+    # second = norm (tilt_b - delta_a (tilt_b (var_tilt_a + tilt_a^2) + 2 tilt_a cov_tilt))
+    second = var_tilt_a
+    second += tilt_a * tilt_a
+    second *= tilt_b
+    cov_tilt *= tilt_a
+    second += 2.0 * cov_tilt
+    second *= -delta_a
+    second += tilt_b
+    second *= norm
+    return first, second
 
 
 @dataclass
@@ -550,8 +623,8 @@ class ClusterInstance:
         blocks = self.blocks_for(yseq)
         return self._contract([tree], blocks, phi_flat[:, np.concatenate(blocks)])[0][0]
 
-    def _contract(self, trees, blocks, phi: np.ndarray,
-                  leaf: np.ndarray | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+    def _contract(self, trees, blocks, phi: np.ndarray, leaf: np.ndarray | None = None,
+                  pair: dict | None = None) -> tuple[list[np.ndarray], np.ndarray]:
         """Per-sample chained-derivative values of each tree, and the blocks' Gibbs weight.
 
         The leading columns of ``phi`` hold the field at the points of the
@@ -561,7 +634,7 @@ class ClusterInstance:
         the product over its points u of q_{r_u}(phi_u), r_u the number of
         ends at u, built one coincidence pattern of the ends at a time.
         The tensors and the lines' covariance blocks are contracted in one
-        einsum per tree.  Each block's ladders are evaluated once, to the
+        einsum per tree (``_contract_rows``).  Each block's ladders are evaluated once, to the
         most ends any of the trees places there, and its derivative tensors
         are shared between trees.  The weight reuses the ladders' Gaussian
         factors and equals ``gibbs_weight`` on those points bit for bit.
@@ -569,7 +642,13 @@ class ClusterInstance:
         ``leaf``, if given, is the last block's one-end tensor, shape
         (batch, points of the block), with that block's Gibbs factor already
         in it: it stands in for the block's ladder, and the weight covers
-        the earlier blocks only.
+        the earlier blocks only.  ``pair``, if given as well, maps the ends
+        k a tree places on the next-to-last block Y_{n-1} to a tensor of
+        shape (batch, points of Y_{n-1}, points of Y_n): each tree adds its
+        contraction, with the k ends on one point of Y_{n-1} and the leaf's
+        end on Y_n, in place of those blocks' tensors.  Y_{n-1}'s Gibbs
+        factor then moves into the leaf, and the weight covers the blocks
+        before it.
         """
         body = blocks if leaf is None else blocks[:-1]
         edges = np.cumsum([0] + [len(b) for b in body])
@@ -580,22 +659,32 @@ class ClusterInstance:
         n_ends = [max(sum((pa, pb).count(bi) for pa, pb in tl) for tl in lines)
                   for bi in range(len(body))]
         q = [self._block_q(c, b, r) for c, b, r in zip(caches, body, n_ends)]
+        if pair is not None:
+            leaf = leaf * self._bump_weight(caches.pop().gaussian(1))[:, None]
         tensors: dict = {}  # (block, ends) -> derivative tensor
         out = []
         for tree_lines in lines:
             # einsum letters: the ends of line li are 2 li and 2 li + 1
-            operands, subscripts = [], []
-            for bi in range(len(blocks)):
-                sub = "".join(_LETTERS[2 * li + side] for li, line in enumerate(tree_lines)
-                              for side in (0, 1) if line[side] == bi)
+            ends = ["".join(_LETTERS[2 * li + side] for li, line in enumerate(tree_lines)
+                            for side in (0, 1) if line[side] == bi) for bi in range(len(blocks))]
+            operands = []
+            for bi, sub in enumerate(ends):
                 if (bi, len(sub)) not in tensors:
                     tensors[bi, len(sub)] = block_tensor(*q[bi], len(sub)) if bi < len(q) else leaf
                 operands.append(tensors[bi, len(sub)])
-                subscripts.append("n" + sub)
-            for li, (pa, pb) in enumerate(tree_lines):
-                operands.append(self.full_matrix[np.ix_(blocks[pa], blocks[pb])])
-                subscripts.append(_LETTERS[2 * li:2 * li + 2])
-            out.append(np.einsum(",".join(subscripts) + "->n", *operands, optimize=True))
+            covs = [self.full_matrix[np.ix_(blocks[pa], blocks[pb])] for pa, pb in tree_lines]
+            line_subs = [_LETTERS[2 * li:2 * li + 2] for li in range(len(tree_lines))]
+            value = _contract_rows(",".join(["n" + e for e in ends] + line_subs),
+                                   *operands, *covs)
+            if pair is not None:
+                # Y_{n-1}'s ends share one point: their letters merge into its first
+                mid = ends[-2]
+                merged = [s.translate(str.maketrans(mid, mid[0] * len(mid))) for s in line_subs]
+                subscripts = (["n" + e for e in ends[:-2]] + ["n" + mid[0] + ends[-1]]
+                              + merged)
+                value = value + _contract_rows(",".join(subscripts), *operands[:-2],
+                                               pair[len(mid)], *covs)
+            out.append(value)
         return out, self._bump_weight(np.concatenate([c.gaussian(1) for c in caches], axis=1))
 
     # -- Monte Carlo layers ---------------------------------------------------
@@ -617,11 +706,17 @@ class ClusterInstance:
         blocks' own points, and every tree is scored on that phi with its
         weight f(eta; s); the Gibbs weight multiplies the tree sum once.
         From order 2 on, the leaf Y_n's factor e^{-V(Y_n)} q_1(phi_w), which
-        every tree holds once, is swapped for ``_leaf_tensor``'s, where q_1
+        every tree holds once, is swapped for ``_tail_tensors``'s, where q_1
         gives way to its mean given s and the earlier blocks' normals: the
-        control q_1 - E[q_1 | s, z_{<n}] multiplies only functions of those,
-        so its mean is zero and the term's mean is unchanged.  That mean is
-        ``gaussian_bump_mean``'s closed form, which R2's rest block uses too.
+        control b (q_1 - E[q_1 | s, z_{<n}]), b the leaf's mean-field Gibbs
+        factor, multiplies only functions of those, so its mean is zero and
+        the term's mean is unchanged.  That mean is ``gaussian_bump_mean``'s
+        closed form, which R2's rest block uses too.
+        From order 3 on, each row also adds the pair control of Y_{n-1} and
+        the leaf (``_tail_tensors``): the closed-form mean of the first-order
+        product of their factors, given s and the normals before Y_{n-1},
+        less the row's own product, contracted in ``_contract`` with
+        Y_{n-1}'s ends on one point.
         ``map_rows`` does this work once per chunk, whose n_pts^2-value
         kernels ``accumulate`` bounds.  Trees share rows, so the error is the
         jackknife error of the per-row tree sum over the scrambles.  The
@@ -636,12 +731,13 @@ class ClusterInstance:
         trees = enumerate_trees(n)
         n_pts = sum(len(b) for b in blocks)
         lead = n_pts - len(blocks[-1])   # points before the leaf Y_n
+        mid = lead - len(blocks[-2]) if n > 2 else None  # points before Y_{n-1}
 
         def work(u):
             s, z = ndtr(u[:, :n - 1]), u[:, n - 1:]
             root, phi = self.sample_block(blocks, s, z)
-            leaf = self._leaf_tensor(root, z, phi, lead) if n > 1 else None
-            ks, weight = self._contract(trees, blocks, phi, leaf)
+            leaf, pair = self._tail_tensors(root, z, phi, mid, lead) if n > 1 else (None, None)
+            ks, weight = self._contract(trees, blocks, phi, leaf, pair)
             return weight * sum(f_factor(tree, s) * k for tree, k in zip(trees, ks))
 
         source = map_rows(scrambled_normals(n_samples, n - 1 + n_pts, seed), work, n_pts ** 2)
@@ -649,25 +745,71 @@ class ClusterInstance:
         k, dk = jackknife(sums, lambda c: c[1] / c[0])
         return float(k), float(dk)
 
-    def _leaf_tensor(self, root: np.ndarray, z: np.ndarray, phi: np.ndarray,
-                     lead: int) -> np.ndarray:
-        """The leaf's one-end tensor e^{-V(Y_n)} q_1(phi), q_1 swapped for its conditional mean.
+    def _tail_tensors(self, root: np.ndarray, z: np.ndarray, phi: np.ndarray,
+                      mid: int | None, lead: int) -> tuple[np.ndarray, dict | None]:
+        """The leaf's one-end tensor with its control, and the last two blocks' pair controls.
 
-        ``root`` holds each row's Cholesky root, phi = root z, and the leaf
-        Y_n is the points from ``lead`` on.  q_1(y) = c delta_m y
-        exp(-delta_m y^2 / 2) is the leaf's first ladder member.  Given the
-        normals z_pre of the earlier blocks, phi_w is Gaussian with mean
-        (root[w, :lead] z_pre) and variance |root[w, lead:]|^2, so the result,
-        (e^{-V(Y_n)} - 1) q_1(phi) + E[q_1(phi) | z_pre], has the plain
-        tensor's conditional mean.
+        ``root`` holds each row's Cholesky root, phi = root z; the leaf Y_n
+        is the points from ``lead`` on, and Y_{n-1} the points from ``mid``
+        to ``lead`` (``mid`` None below order 3, where no pair is formed).
+        Each control is scaled by the mean-field Gibbs factor of the blocks
+        it stands for: exp(-c sum of E[exp(-delta_m phi^2 / 2)]) over their
+        points, given the normals it is conditioned on.  That is a function
+        of those normals only, so the control's mean stays zero, and it
+        tracks e^{-V} where V is not small.
+
+        The leaf: q_1(y) = c delta_m y exp(-delta_m y^2 / 2), c = dt b_m, is
+        its first ladder member.  Given the normals z_pre of the earlier
+        blocks, phi_w is Gaussian with mean mu_w = root[w, :lead] z_pre and
+        variance |root[w, lead:]|^2, so with b its mean-field factor the
+        tensor, (e^{-V(Y_n)} - b) q_1(phi) + b g(mu), where
+        g(mu_w) = E[q_1(phi_w) | z_pre], has the plain tensor's conditional
+        mean.
+
+        The pair, by the ends k on Y_{n-1}: {1: ..., 2: ...}, each (batch,
+        points of Y_{n-1}, points of Y_n).  To first order in c, Y_{n-1}'s
+        factor with k ends on point y is X^{(k)}(phi_y), X(y) = -c
+        exp(-delta_m y^2 / 2).  Given the normals before Y_{n-1}, phi_y and
+        mu_w are jointly Gaussian, read off the root, and g(mu) is
+        mu exp(-kappa mu^2 / 2) up to a factor, so entry [y, w],
+        E[X^{(k)}(phi_y) g(mu_w) | z_{<n-1}] - X^{(k)}(phi_y) g(mu_w), times
+        the two blocks' mean-field factor, has conditional mean zero.
         """
         c, delta_m = self.gibbs_weight_coeff, self.ensemble.delta_m
-        mean = np.einsum("nij,nj->ni", root[:, lead:, :lead], z[:, :lead])
-        var = np.einsum("nij,nij->ni", root[:, lead:, lead:], root[:, lead:, lead:])
-        phi = phi[:, lead:]
-        bump = np.exp(-0.5 * delta_m * phi ** 2)
-        return c * delta_m * ((self._bump_weight(bump) - 1.0)[:, None] * phi * bump
-                              + gaussian_bump_first_moment(mean, var, delta_m))
+        ws = slice(lead, None)
+        leaf_var = np.einsum("nij,nij->ni", root[:, ws, ws], root[:, ws, ws])
+        if mid is None:
+            mean = np.matmul(root[:, ws, :lead], z[:, :lead, None])[..., 0]
+        else:
+            # rows of Y_{n-1} then Y_n: on the columns before Y_{n-1}, and on Y_{n-1}'s own
+            pre = np.matmul(root[:, mid:, :mid], z[:, :mid, None])[..., 0]
+            own = root[:, mid:, mid:lead]
+            m = lead - mid
+            mean = pre[:, m:] + np.matmul(own[:, m:], z[:, mid:lead, None])[..., 0]
+        g = c * delta_m * gaussian_bump_first_moment(mean, leaf_var, delta_m)
+        mean_field = np.exp(-c * gaussian_bump_mean(mean, leaf_var, delta_m).sum(axis=1))[:, None]
+        y = phi[:, ws]
+        bump = np.exp(-0.5 * delta_m * y ** 2)
+        leaf = (c * delta_m * (self._bump_weight(bump)[:, None] - mean_field) * y * bump
+                + mean_field * g)
+        if mid is None:
+            return leaf, None
+        # batch last from here, as in block_tensor: long inner loops over the rows
+        cov = np.matmul(own[:, :m], own[:, m:].transpose(0, 2, 1))
+        pre, var, leaf_var, cov, y, g = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (
+            pre, np.einsum("nij,nij->ni", own, own), leaf_var, cov, phi[:, mid:lead], g))
+        spread = 1.0 + delta_m * leaf_var
+        first, second = gaussian_bump_pair_moments(
+            pre[:m, None], pre[None, m:], var[:m, None], var[None, m:], cov, delta_m,
+            delta_m / spread)
+        mean_field = np.exp(-c * (gaussian_bump_mean(pre[:m], var[:m], delta_m).sum(axis=0)
+                             + gaussian_bump_mean(pre[m:], var[m:] + leaf_var,
+                                                  delta_m).sum(axis=0)))
+        scale = (c * delta_m) ** 2 / spread ** 1.5
+        bump = c * delta_m * np.exp(-0.5 * delta_m * y ** 2)
+        ends = {1: scale * first - (y * bump)[:, None] * g,
+                2: scale * second - ((1.0 - delta_m * y ** 2) * bump)[:, None] * g}
+        return leaf, {k: np.moveaxis(mean_field * v, -1, 0) for k, v in ends.items()}
 
     def ratio_table(self, yseqs, n_samples: int, seed: int) -> np.ndarray:
         """Batch sums whose ratios F_j = Z(complement of X_n)/Z >= 1 belong to yseqs[j].

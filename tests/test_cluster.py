@@ -10,11 +10,11 @@ from scipy.stats import qmc
 
 from anhcrystal import sampler as sampler_module
 from anhcrystal.cluster import (RQMC_BATCHES, ClusterInstance, PolyExp, SymbolicTerm,
-                                Tree, battle_federbush_sum, block_tensor, delta_apply,
+                                Tree, _PowerCache, battle_federbush_sum, block_tensor, delta_apply,
                                 derivative_ladder, enumerate_trees,
                                 evaluate_ladder, evaluate_symbolic, f_factor,
                                 gauss_legendre_unit, gaussian_bump_first_moment,
-                                gaussian_bump_mean,
+                                gaussian_bump_mean, gaussian_bump_pair_moments,
                                 newton_leibniz_report, residual_decay_report,
                                 scrambled_normals)
 from anhcrystal.lattice import Lattice, RodMode
@@ -422,7 +422,8 @@ class TestClusterTerms:
 
     def test_leaf_control_has_zero_mean(self):
         # at one s and fixed normals of X_1 and Y_2, the leaf tensor with its
-        # control differs from e^{-V(Y_3)} q_1(phi) by q_1(phi) - E[q_1 | z_pre],
+        # control differs from e^{-V(Y_3)} q_1(phi) by q_1(phi) - E[q_1 | z_pre]
+        # times the leaf's mean-field Gibbs factor, a constant here,
         # which averages to zero over the leaf's own normals; at this s the
         # earlier blocks carry 6 % of the leaf's variance, so its unconditional
         # variance would miss by about 6 sigma
@@ -436,13 +437,85 @@ class TestClusterTerms:
         z[:, :lead] = rng.standard_normal(lead)
         z[:, lead:] = rng.standard_normal((n_rows, n_pts - lead))
         phi = z @ root.T
-        leaf = inst._leaf_tensor(np.broadcast_to(root, (n_rows, n_pts, n_pts)), z, phi, lead)
+        leaf, _ = inst._tail_tensors(np.broadcast_to(root, (n_rows, n_pts, n_pts)), z, phi,
+                                     None, lead)
         q1 = derivative_ladder(0, 1, inst.gibbs_weight_coeff, inst.ensemble.delta_m)[1]
         plain = q1(phi[:, lead:]) * inst.gibbs_weight(phi, slice(lead, None))[:, None]
         control = plain - leaf
         sigma = control.std(axis=0) / math.sqrt(n_rows)
         assert np.all(np.abs(control.mean(axis=0)) <= 4.0 * sigma), control.mean(axis=0) / sigma
         assert np.all(sigma <= 0.01 * plain.std(axis=0)), (sigma, plain.std(axis=0))
+
+    def test_pair_control_has_zero_mean(self):
+        # at one s and fixed normals of X_1, entry [y, w] of the pair control is
+        # b (M - X^(k)(phi_y) g(mu_w)), with M the closed-form mean and b the
+        # two blocks' mean-field Gibbs factor given those normals: b and M are
+        # the same on every row, and the plain product averages to M over the
+        # normals of Y_2 and Y_3, resolved to 5 % of M.  A strong coupling
+        # makes the leaf's conditional mean large enough that the Gaussian
+        # tilt of g (kappa = delta / spread) is resolved too
+        inst = make_instance(b_m=0.3, delta_m=2.0, J=1.0)
+        blocks = inst.blocks_for(inst.free_rod_ids[:2])
+        mid, lead = len(blocks[0]), len(blocks[0]) + len(blocks[1])
+        root = np.linalg.cholesky(inst.block_matrix(blocks, np.array([[0.9, 0.9]]))[1][0])
+        rng = np.random.default_rng(43)
+        n_rows, n_pts = 200_000, len(root)
+        z = np.empty((n_rows, n_pts))
+        z[:, :mid] = rng.standard_normal(mid)
+        z[:, mid:] = rng.standard_normal((n_rows, n_pts - mid))
+        phi = z @ root.T
+        _, pair = inst._tail_tensors(np.broadcast_to(root, (n_rows, n_pts, n_pts)), z, phi,
+                                     mid, lead)
+        c, delta = inst.gibbs_weight_coeff, inst.ensemble.delta_m
+        g = c * delta * gaussian_bump_first_moment(z[:, :lead] @ root[lead:, :lead].T,
+                                                   np.sum(root[lead:, lead:] ** 2, axis=1), delta)
+        own = np.sum(root[mid:, mid:] ** 2, axis=1)   # variances given X_1's normals
+        mean_field = math.exp(-c * np.sum(gaussian_bump_mean(root[mid:, :mid] @ z[0, :mid],
+                                                             own, delta)))
+        for k, factor in ((1, inst.xprime), (2, inst.xprime.deriv())):
+            plain = factor(phi[:, mid:lead])[:, :, None] * g[:, None, :]
+            mean = pair[k] / mean_field + plain
+            scale = np.abs(mean).max()
+            assert np.ptp(mean, axis=0).max() <= 1e-12 * scale, k
+            sigma = plain.std(axis=0) / math.sqrt(n_rows)
+            assert np.all(np.abs(plain.mean(axis=0) - mean[0]) <= 4.0 * sigma), k
+            assert 4.0 * sigma.max() <= 0.05 * scale, (k, sigma.max(), scale)
+
+    def test_pair_contraction_puts_ends_on_one_point(self):
+        # with a zero leaf only the pair term is left; against a contraction
+        # where Y_{n-1}'s two ends carry their own letters, through a pair
+        # tensor that is diagonal in them, for every tree of orders 3 and 4
+        inst = make_instance(dims=(4,), beta_hat=0.2, n_slices=4, delta_m=1.0,
+                             mode=RodMode.HIGH_TEMPERATURE, tau=0.05)
+        rng = np.random.default_rng(47)
+        for yseq in ((1, 2), (2, 3, 1)):
+            n, blocks = len(yseq) + 1, inst.blocks_for(yseq)
+            m_mid, m_leaf = len(blocks[-2]), len(blocks[-1])
+            phi = rng.standard_normal((5, sum(len(b) for b in blocks)))
+            pair = {k: rng.standard_normal((5, m_mid, m_leaf)) for k in (1, 2)}
+            trees = enumerate_trees(n)
+            got, _ = inst._contract(trees, blocks, phi, np.zeros((5, m_leaf)), pair)
+            diagonal = np.zeros((5, m_mid, m_mid, m_leaf))
+            diagonal[:, np.arange(m_mid), np.arange(m_mid)] = pair[2]
+            for tree, value in zip(trees, got):
+                lines = [(tree.eta(l) - 1, l - 1) for l in range(2, n + 1)]
+                letters = ["".join("abcdefgh"[2 * li + side] for li, line in enumerate(lines)
+                                   for side in (0, 1) if line[side] == bi)
+                           for bi in range(n)]
+                operands, subscripts = [], []
+                edges = np.cumsum([0] + [len(b) for b in blocks])
+                for bi in range(n - 2):
+                    q = inst._block_q(_PowerCache(phi[:, edges[bi]:edges[bi + 1]], 1.0),
+                                      blocks[bi], len(letters[bi]))
+                    operands.append(block_tensor(*q, len(letters[bi])))
+                    subscripts.append("n" + letters[bi])
+                operands.append(diagonal if len(letters[-2]) == 2 else pair[1])
+                subscripts.append("n" + letters[-2] + letters[-1])
+                for li, (pa, pb) in enumerate(lines):
+                    operands.append(inst.full_matrix[np.ix_(blocks[pa], blocks[pb])])
+                    subscripts.append("abcdefgh"[2 * li:2 * li + 2])
+                want = np.einsum(",".join(subscripts) + "->n", *operands)
+                np.testing.assert_allclose(value, want, rtol=1e-12, atol=0.0)
 
     def test_second_step_memory_does_not_grow_with_rows(self, monkeypatch):
         # 64 points, chunks of 1000 rows: four times the rows, the same peak;
@@ -538,6 +611,42 @@ class TestSharedDraws:
         got = gaussian_bump_first_moment(mean, var, delta)
         assert got == pytest.approx(float(quad), rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("mean_a, mean_b", [(0.0, 0.0), (0.4, -0.7), (-1.3, 0.2),
+                                                (1.0, 1.5)])
+    @pytest.mark.parametrize("var_a, var_b, rho, delta_a, delta_b", [
+        (1.0, 1.0, 0.5, 1.0, 1.0), (0.3, 0.8, -0.9, 2.5, 0.7), (2.0, 0.5, 0.2, 0.4, 2.0),
+        (0.05, 1.5, 0.99, 5.0, 0.3)])
+    def test_gaussian_bump_pair_moments_match_quadrature(self, mean_a, mean_b, var_a, var_b,
+                                                         rho, delta_a, delta_b):
+        # correlated pairs, by Gauss-Hermite quadrature in whitened coordinates
+        x, w = np.polynomial.hermite_e.hermegauss(100)
+        w = w / math.sqrt(2.0 * math.pi)
+        x1, x2 = np.meshgrid(x, x, indexing="ij")
+        cov = rho * math.sqrt(var_a * var_b)
+        a = mean_a + math.sqrt(var_a) * x1
+        b = mean_b + cov / math.sqrt(var_a) * x1 + math.sqrt(var_b - cov ** 2 / var_a) * x2
+        weight = np.outer(w, w) * b * np.exp(-0.5 * (delta_a * a ** 2 + delta_b * b ** 2))
+        got = gaussian_bump_pair_moments(mean_a, mean_b, var_a, var_b, cov, delta_a, delta_b)
+        for value, poly in zip(got, (a, 1.0 - delta_a * a ** 2)):
+            assert value == pytest.approx(float(np.sum(weight * poly)), rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("mean_a, mean_b", [(0.0, 0.0), (0.4, -0.7), (-3.0, 2.0)])
+    @pytest.mark.parametrize("var_a, var_b, delta_a, delta_b", [
+        (1.0, 1.0, 1.0, 1.0), (40.0, 0.3, 5.0, 2.0), (0.2, 100.0, 0.5, 2.0), (1.5, 0.0, 2.0, 1.0)])
+    def test_gaussian_bump_pair_moments_factor_when_independent(self, mean_a, mean_b, var_a,
+                                                                var_b, delta_a, delta_b):
+        # uncorrelated pairs, wide fields over narrow bumps (delta var = 200) and a
+        # fixed b (var_b = 0) included: the moments are products of one-point ones,
+        # E[(1 - delta a^2) exp(-delta a^2 / 2)] the mean-derivative of E[a exp(...)]
+        got = gaussian_bump_pair_moments(mean_a, mean_b, var_a, var_b, 0.0, delta_a, delta_b)
+        spread = 1.0 + delta_a * var_a
+        second_a = ((1.0 - delta_a * mean_a ** 2 / spread) / spread
+                    * gaussian_bump_mean(mean_a, var_a, delta_a))
+        b = gaussian_bump_first_moment(mean_b, var_b, delta_b)
+        want = (gaussian_bump_first_moment(mean_a, var_a, delta_a) * b, second_a * b)
+        for value, ref in zip(got, want):
+            assert value == pytest.approx(ref, rel=1e-12, abs=1e-300)
+
     def test_second_step_residual_vanishes_when_free(self):
         inst = make_instance(b_m=0.0)
         assert inst.second_step_residual(2000, seed=1) == (0.0, 0.0)
@@ -631,7 +740,8 @@ class TestPinnedOutputs:
     may contract in another order: those match to 1e-12.  The order-2 and
     order-3 cluster terms and ``order_contribution(3, ...)`` were recorded
     again when the leaf factor of every term took its conditional-mean
-    control; order 1 has no leaf and kept its values.  R1 and the
+    control, and from order 3 on the pair control of Y_{n-1} and the leaf;
+    order 1 has no leaf and kept its values.  R1 and the
     Newton-Leibniz report draw plain normals and match exactly.
     """
 
@@ -644,8 +754,8 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("yseq, n_samples, seed, value, stderr, moved", [
         ((), 2000, 5, 0.746646434748595, 0.005825346690220695, False),
-        ((1,), 4000, 7, 0.013988603041319287, 0.0001095794054947604, False),
-        ((1, 2), 4000, 9, 4.7665067299169606e-05, 7.700915704093527e-06, True),
+        ((1,), 4000, 7, 0.013990862551699138, 0.0001010725723713519, False),
+        ((1, 2), 4000, 9, 4.933476694044841e-05, 1.7441987667697744e-06, True),
     ])
     def test_cluster_term(self, inst, yseq, n_samples, seed, value, stderr, moved):
         k, dk = inst.cluster_term(yseq, n_samples, seed)
@@ -657,11 +767,11 @@ class TestPinnedOutputs:
                                                            1.532585026591446e-05)
 
     def test_order_three(self, inst):
-        # with the leaf's q_1 in every term swapped for its conditional mean:
-        # 4.1309e-4 +- 1.982e-4 with the plain leaf factor, 0.88 sigma away
+        # with the leaf control and the pair control of Y_2 and the leaf:
+        # 4.1309e-4 +- 1.982e-4 with the plain leaf factor, 0.90 sigma away
         value, stderr = inst.order_contribution(3, 2000, 271)
-        assert value == pytest.approx(0.0005869540952915715, rel=1e-12, abs=0.0)
-        assert stderr == pytest.approx(4.4210331310989946e-05, rel=1e-12, abs=0.0)
+        assert value == pytest.approx(0.000591611015925415, rel=1e-12, abs=0.0)
+        assert stderr == pytest.approx(5.854919728754357e-06, rel=1e-12, abs=0.0)
 
     def test_first_step_residual(self, inst):
         assert inst.first_step_residual(20_000, 17) == (
