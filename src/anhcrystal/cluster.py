@@ -37,8 +37,9 @@ b is the leaf's mean-field Gibbs factor, e^{-V} with each point's
 exp(-delta_m phi^2 / 2) replaced by its conditional mean: near 1 where V is
 small, and close to e^{-V(Y_n)} where it is not, as on the CLI default box.
 The closed forms are ``gaussian_bump_mean`` and, for q_1, that times
-mean / (1 + delta_m var) (``gaussian_bump_first_moment``), so one Gaussian
-mean serves these controls and the order-2 residual's rest-block control.
+mean / (1 + delta_m var) (``gaussian_bump_first_moment``).  Every control of
+the engine takes this b (``_gibbs_factors``), and nothing is fitted: the
+order-2 residual's rest block too, e^{-V} + b c sum of (bump - E[bump]).
 
 From order 3 on, most of what is left comes from the normals of Y_{n-1}.
 To first order in dt b_m, Y_{n-1}'s factor is X^{(k)}(phi_y) at one point,
@@ -553,6 +554,21 @@ class ClusterInstance:
         """The Gibbs weight from the per-point factors exp(-delta_m phi^2 / 2)."""
         return np.exp(-self.grid.delta_tau * (self.ensemble.b_m * bump).sum(axis=1))
 
+    def _gibbs_factors(self, phi: np.ndarray, mean, var) -> tuple:
+        """(e^{-V(phi)}, b, bump, E[bump]) of a block: what every control is made of.
+
+        bump = exp(-delta_m phi^2 / 2) per point, E[bump] its closed-form mean
+        given the normals a control conditions on (phi's conditional ``mean``
+        and ``var``), and b = exp(-c sum of E[bump]), c = dt b_m, the block's
+        mean-field Gibbs factor.  Each control is b times a first-order part
+        less its conditional mean: b is a function of the conditioning normals
+        only, so the mean stays zero, and b tracks e^{-V} where V is not small.
+        """
+        bump = np.exp(-0.5 * self.ensemble.delta_m * phi ** 2)
+        expected = gaussian_bump_mean(mean, var, self.ensemble.delta_m)
+        return (self._bump_weight(bump), np.exp(-self.gibbs_weight_coeff * expected.sum(axis=-1)),
+                bump, expected)
+
     def block_matrix(self, blocks, s) -> tuple[np.ndarray, np.ndarray]:
         """Interpolated covariance over the union of blocks, per row of a 2-d s: (points, C)."""
         pts = np.concatenate(blocks)
@@ -709,9 +725,8 @@ class ClusterInstance:
         every tree holds once, is swapped for ``_tail_tensors``'s, where q_1
         gives way to its mean given s and the earlier blocks' normals: the
         control b (q_1 - E[q_1 | s, z_{<n}]), b the leaf's mean-field Gibbs
-        factor, multiplies only functions of those, so its mean is zero and
-        the term's mean is unchanged.  That mean is ``gaussian_bump_mean``'s
-        closed form, which R2's rest block uses too.
+        factor (``_gibbs_factors``), multiplies only functions of those, so
+        its mean is zero and the term's mean is unchanged.
         From order 3 on, each row also adds the pair control of Y_{n-1} and
         the leaf (``_tail_tensors``): the closed-form mean of the first-order
         product of their factors, given s and the normals before Y_{n-1},
@@ -752,19 +767,14 @@ class ClusterInstance:
         ``root`` holds each row's Cholesky root, phi = root z; the leaf Y_n
         is the points from ``lead`` on, and Y_{n-1} the points from ``mid``
         to ``lead`` (``mid`` None below order 3, where no pair is formed).
-        Each control is scaled by the mean-field Gibbs factor of the blocks
-        it stands for: exp(-c sum of E[exp(-delta_m phi^2 / 2)]) over their
-        points, given the normals it is conditioned on.  That is a function
-        of those normals only, so the control's mean stays zero, and it
-        tracks e^{-V} where V is not small.
+        Each control is scaled by the mean-field factor b of the blocks it
+        stands for, given the normals it is conditioned on (``_gibbs_factors``).
 
         The leaf: q_1(y) = c delta_m y exp(-delta_m y^2 / 2), c = dt b_m, is
         its first ladder member.  Given the normals z_pre of the earlier
         blocks, phi_w is Gaussian with mean mu_w = root[w, :lead] z_pre and
-        variance |root[w, lead:]|^2, so with b its mean-field factor the
-        tensor, (e^{-V(Y_n)} - b) q_1(phi) + b g(mu), where
-        g(mu_w) = E[q_1(phi_w) | z_pre], has the plain tensor's conditional
-        mean.
+        variance |root[w, lead:]|^2, so the tensor (e^{-V(Y_n)} - b) q_1(phi)
+        + b g(mu), g(mu_w) = E[q_1(phi_w) | z_pre], has the plain one's mean.
 
         The pair, by the ends k on Y_{n-1}: {1: ..., 2: ...}, each (batch,
         points of Y_{n-1}, points of Y_n).  To first order in c, Y_{n-1}'s
@@ -787,26 +797,26 @@ class ClusterInstance:
             m = lead - mid
             mean = pre[:, m:] + np.matmul(own[:, m:], z[:, mid:lead, None])[..., 0]
         g = c * delta_m * gaussian_bump_first_moment(mean, leaf_var, delta_m)
-        mean_field = np.exp(-c * gaussian_bump_mean(mean, leaf_var, delta_m).sum(axis=1))[:, None]
-        y = phi[:, ws]
-        bump = np.exp(-0.5 * delta_m * y ** 2)
-        leaf = (c * delta_m * (self._bump_weight(bump)[:, None] - mean_field) * y * bump
-                + mean_field * g)
+        weight, mean_field, bump, _ = self._gibbs_factors(phi[:, ws], mean, leaf_var)
+        leaf = (c * delta_m * (weight - mean_field)[:, None] * phi[:, ws] * bump
+                + mean_field[:, None] * g)
         if mid is None:
             return leaf, None
+        # both blocks given the normals before Y_{n-1}, whose Y_n points add Y_n's own variance
+        var = np.einsum("nij,nij->ni", own, own)
+        _, mean_field, bump, _ = self._gibbs_factors(
+            phi[:, mid:], pre, var + np.pad(leaf_var, ((0, 0), (m, 0))))
         # batch last from here, as in block_tensor: long inner loops over the rows
         cov = np.matmul(own[:, :m], own[:, m:].transpose(0, 2, 1))
-        pre, var, leaf_var, cov, y, g = (np.ascontiguousarray(np.moveaxis(x, 0, -1)) for x in (
-            pre, np.einsum("nij,nij->ni", own, own), leaf_var, cov, phi[:, mid:lead], g))
+        pre, var, leaf_var, cov, y, bump, g = (
+            np.ascontiguousarray(np.moveaxis(x, 0, -1))
+            for x in (pre, var, leaf_var, cov, phi[:, mid:lead], bump[:, :m], g))
         spread = 1.0 + delta_m * leaf_var
         first, second = gaussian_bump_pair_moments(
             pre[:m, None], pre[None, m:], var[:m, None], var[None, m:], cov, delta_m,
             delta_m / spread)
-        mean_field = np.exp(-c * (gaussian_bump_mean(pre[:m], var[:m], delta_m).sum(axis=0)
-                             + gaussian_bump_mean(pre[m:], var[m:] + leaf_var,
-                                                  delta_m).sum(axis=0)))
         scale = (c * delta_m) ** 2 / spread ** 1.5
-        bump = c * delta_m * np.exp(-0.5 * delta_m * y ** 2)
+        bump *= c * delta_m
         ends = {1: scale * first - (y * bump)[:, None] * g,
                 2: scale * second - ((1.0 - delta_m * y ** 2) * bump)[:, None] * g}
         return leaf, {k: np.moveaxis(mean_field * v, -1, 0) for k, v in ends.items()}
@@ -903,11 +913,11 @@ class ClusterInstance:
         s_2 = 0 end, so the order-2 residual is (s_2 = 1 end) - (s_2 = 0 end)
         evaluated on the same normals.  The leading Cholesky corner X_2 =
         X_1 + Y_2 is common to both ends, so the derivative factor is shared
-        and only the rest block's Gibbs factor differs.  That factor's
-        first-order part -dt b_m sum exp(-delta_m phi^2 / 2) has a closed-form
-        Gaussian mean given the X_2 normals, so it is swapped for that mean
-        at both ends (a control variate; the estimand is unchanged).  Normals
-        are scrambled Sobol rows.  Z comes from the same rows drawn through
+        and only the rest block's Gibbs factor differs.  At both ends it takes
+        the leaf's control (``_gibbs_factors``): b c sum of (bump - E[bump]),
+        bump = exp(-delta_m phi^2 / 2), E given s_1 and the X_2 normals and b
+        the block's mean-field factor, is added, so the estimand is unchanged.
+        Normals are scrambled Sobol rows.  Z comes from the same rows drawn through
         the root of the full kernel, so the residual is a self-normalised
         ratio with one jackknife over the scrambles.  Every root is factored
         once per call, and ``accumulate``'s bounded chunks keep memory flat in
@@ -917,24 +927,27 @@ class ClusterInstance:
         nodes, weights = gauss_legendre_unit()
         ends = []  # per Y_2: X_2's blocks and size, then (root, rest variance) cut and per node
         for y in self.free_rod_ids:
-            rest = [self.rod_points[r] for r in self.free_rod_ids if r != y]
-            blocks = self.blocks_for((y,)) + [np.concatenate(rest)]
+            rest = np.concatenate([self.rod_points[r] for r in self.free_rod_ids if r != y])
+            blocks = self.blocks_for((y,)) + [rest]
             n2 = len(blocks[0]) + len(blocks[1])
-            _, cut = self.block_matrix(blocks, (1.0, 0.0))
-            cut = cut[n2:, n2:]
+            cut = self.full_matrix[np.ix_(rest, rest)]
             roots = [np.linalg.cholesky(self.block_matrix(blocks, (x, 1.0))[1]) for x in nodes]
             ends.append((blocks[:2], n2, (np.linalg.cholesky(cut), np.diag(cut).copy()),
                          [(c, np.sum(c[n2:, n2:] ** 2, axis=1)) for c in roots]))
         full_root = np.linalg.cholesky(self.full_matrix)
 
+        def rest_factor(phi, mean, var):
+            weight, mean_field, bump, expected = self._gibbs_factors(phi, mean, var)
+            return weight + mean_field * self.gibbs_weight_coeff * (bump - expected).sum(axis=1)
+
         def work(z):
             acc = np.zeros(len(z))
             for blocks, n2, (cut_root, cut_var), roots in ends:
-                end_cut = self._rest_weight(z[:, n2:] @ cut_root.T, 0.0, cut_var)
+                end_cut = rest_factor(z[:, n2:] @ cut_root.T, 0.0, cut_var)
                 for (chol, var), w in zip(roots, weights):
                     phi = z @ chol.T
                     (k,), weight = self._contract([tree], blocks, phi)
-                    end = self._rest_weight(phi[:, n2:], z[:, :n2] @ chol[n2:, :n2].T, var)
+                    end = rest_factor(phi[:, n2:], z[:, :n2] @ chol[n2:, :n2].T, var)
                     acc += w * (k * weight) * (end - end_cut)
             return np.stack([acc, self.gibbs_weight(z @ full_root.T, slice(None))], axis=1)
 
@@ -943,17 +956,6 @@ class ClusterInstance:
         sums = accumulate(source, lambda v: v.sum(axis=0), n_samples)
         resid, dresid = jackknife(sums, lambda c: c[0] / c[1])
         return float(resid), float(dresid)
-
-    def _rest_weight(self, phi: np.ndarray, mean, var) -> np.ndarray:
-        """exp(-dt sum V(phi)) with its first-order term replaced by its mean.
-
-        ``mean`` and ``var`` are the per-point conditional moments of phi
-        given the shared X_2 normals.
-        """
-        c = self.gibbs_weight_coeff
-        bump = np.exp(-0.5 * self.ensemble.delta_m * phi ** 2)
-        exact = gaussian_bump_mean(mean, var, self.ensemble.delta_m)
-        return np.exp(-c * bump.sum(axis=1)) + c * (bump - exact).sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,6 @@ class FieldGrid:
             raise ValueError(f"site {site_index} is outside the {self.lattice.n_sites}-site box")
         return site_index * self.n_slices + (slice_index % self.n_slices)
 
-    def point_pair(self, flat: int) -> tuple[int, int]:
-        return flat // self.n_slices, flat % self.n_slices
-
     def slice_of(self, tau: float) -> int:
         """Nearest grid slice to time tau (must sit on the grid to 1e-9)."""
         s = tau / self.delta_tau

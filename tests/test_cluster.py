@@ -9,6 +9,7 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from anhcrystal import sampler as sampler_module
+from anhcrystal.cli import build_ensemble
 from anhcrystal.cluster import (RQMC_BATCHES, ClusterInstance, PolyExp, SymbolicTerm,
                                 Tree, _PowerCache, battle_federbush_sum, block_tensor, delta_apply,
                                 derivative_ladder, enumerate_trees,
@@ -17,6 +18,7 @@ from anhcrystal.cluster import (RQMC_BATCHES, ClusterInstance, PolyExp, Symbolic
                                 gaussian_bump_mean, gaussian_bump_pair_moments,
                                 newton_leibniz_report, residual_decay_report,
                                 scrambled_normals)
+from anhcrystal.config import DEFAULTS, model_params
 from anhcrystal.lattice import Lattice, RodMode
 from anhcrystal.potential import nth_derivative
 from anhcrystal.sampler import (Ensemble, accumulate, jackknife, periodic_bc, plain_stream,
@@ -364,7 +366,7 @@ class TestClusterTerms:
         inst = make_instance(b_m=0.0)
         val, err = inst.cluster_term((), 40_000, seed=3)
         pt = next(iter(inst.monomials))
-        site, sl = inst.grid.point_pair(pt)
+        site, _ = divmod(pt, inst.grid.n_slices)
         exact = inst.ensemble.kernel.closed((site,), (site,), 0.0)
         assert abs(val - exact) < 4 * err
 
@@ -395,7 +397,7 @@ class TestClusterTerms:
         # 12 points per cluster-term row: a budget of 7000 values allows 48
         # rows, so each 100-row scramble runs in pieces of 48, 48 and 4; a
         # budget of 30,000 values allows 208 rows, which hold two whole
-        # scrambles.  R2's rows hold 16 normals, and every field, rest block
+        # scrambles.  R2's rows hold 16 normals, and every field, block factor
         # and conditional mean it scores stays within the budget
         inst = make_instance(b_m=0.3)
         yseq = inst.free_rod_ids[:2]
@@ -405,7 +407,7 @@ class TestClusterTerms:
         sample_block = inst.sample_block
         monkeypatch.setattr(inst, "sample_block",
                             lambda b, s, z: rows.append(len(z)) or sample_block(b, s, z))
-        for name in ("_contract", "_rest_weight", "gibbs_weight"):
+        for name in ("_contract", "_gibbs_factors", "gibbs_weight"):
             method = getattr(inst, name)
             monkeypatch.setattr(inst, name, lambda *args, _method=method: sizes.extend(
                 a.size for a in args if isinstance(a, np.ndarray)) or _method(*args))
@@ -445,6 +447,33 @@ class TestClusterTerms:
         sigma = control.std(axis=0) / math.sqrt(n_rows)
         assert np.all(np.abs(control.mean(axis=0)) <= 4.0 * sigma), control.mean(axis=0) / sigma
         assert np.all(sigma <= 0.01 * plain.std(axis=0)), (sigma, plain.std(axis=0))
+
+    def test_rest_control_has_zero_mean(self):
+        # R2's coupled end at one node and fixed normals of X_2 = X_1 + Y_2:
+        # the rest block's factor differs from e^{-V(rest)} by c b sum of
+        # (bump - E[bump | z_X2]), b the block's mean-field Gibbs factor, a
+        # constant here, so the difference averages to zero over the rest's
+        # own normals; b = exp(-c sum of bump), read off the row's own normals,
+        # misses by about 47 sigma
+        inst = make_instance(b_m=0.3, delta_m=2.0)
+        y, *rest = inst.free_rod_ids
+        blocks = inst.blocks_for((y,)) + [np.concatenate([inst.rod_points[r] for r in rest])]
+        n2 = len(blocks[0]) + len(blocks[1])
+        node = gauss_legendre_unit()[0][5]
+        root = np.linalg.cholesky(inst.block_matrix(blocks, (node, 1.0))[1])
+        rng = np.random.default_rng(53)
+        n_rows, n_pts = 200_000, len(root)
+        z = np.empty((n_rows, n_pts))
+        z[:, :n2] = rng.standard_normal(n2)
+        z[:, n2:] = rng.standard_normal((n_rows, n_pts - n2))
+        phi = z @ root.T
+        plain, mean_field, bump, expected = inst._gibbs_factors(
+            phi[:, n2:], z[:, :n2] @ root[n2:, :n2].T, np.sum(root[n2:, n2:] ** 2, axis=1))
+        control = mean_field * inst.gibbs_weight_coeff * (bump - expected).sum(axis=1)
+        sigma = control.std() / math.sqrt(n_rows)
+        assert abs(control.mean()) <= 4.0 * sigma, control.mean() / sigma
+        assert sigma <= 0.01 * plain.std(), (sigma, plain.std())
+        np.testing.assert_array_equal(plain, inst.gibbs_weight(phi, slice(n2, None)))
 
     def test_pair_control_has_zero_mean(self):
         # at one s and fixed normals of X_1, entry [y, w] of the pair control is
@@ -700,6 +729,20 @@ class TestExpansionIdentity:
         assert hi > lo
         assert hi - lo >= 3.0 * math.hypot(dhi, dlo), rep.residuals
 
+    def test_default_box_resolves_the_order_two_drop(self):
+        # the CLI's default box (8 sites x 32 slices, default parameters and
+        # seed), whose rest blocks have mean-field Gibbs factors near 0.003:
+        # R2's control must scale with that factor, or R2's own noise hides
+        # the R1 -> R2 drop
+        cfg = dict(DEFAULTS)
+        ens = build_ensemble(model_params(cfg), cfg)
+        inst = ClusterInstance(ensemble=ens, mode=RodMode(cfg["mode"]),
+                               monomials={ens.grid.point(0, ens.grid.slice_of(0.5)): 2})
+        assert ens.grid.n_points == 8 * 32
+        r1, dr1 = inst.first_step_residual(20_000, cfg["seed"])[:2]
+        r2, dr2 = inst.second_step_residual(2000, cfg["seed"] + 20_000)
+        assert abs(r1) - abs(r2) >= 3.0 * math.hypot(dr1, dr2), (r1, dr1, r2, dr2)
+
     def test_high_temperature_residuals(self):
         # three-column box at small beta: rods are whole site columns, so the
         # expansion ends at order 3 and the order-2 residual is the order-3 term
@@ -741,8 +784,11 @@ class TestPinnedOutputs:
     order-3 cluster terms and ``order_contribution(3, ...)`` were recorded
     again when the leaf factor of every term took its conditional-mean
     control, and from order 3 on the pair control of Y_{n-1} and the leaf;
-    order 1 has no leaf and kept its values.  R1 and the
-    Newton-Leibniz report draw plain normals and match exactly.
+    order 1 has no leaf and kept its values.  R2 was recorded again when its
+    rest-block control took the mean-field coefficient b of the leaf's
+    control in place of 1: 5.8603e-4 +- 1.53e-5 before, on the same rows,
+    0.25 of that stderr away.  R1 and the Newton-Leibniz report draw plain
+    normals and match exactly.
     """
 
     @pytest.fixture(scope="class")
@@ -763,8 +809,8 @@ class TestPinnedOutputs:
         assert dk == (pytest.approx(stderr, rel=1e-12, abs=0.0) if moved else stderr)
 
     def test_second_step_residual(self, inst):
-        assert inst.second_step_residual(4000, 20_017) == (0.0005860288710804727,
-                                                           1.532585026591446e-05)
+        assert inst.second_step_residual(4000, 20_017) == (0.0005898026069309495,
+                                                           1.6217492683724903e-05)
 
     def test_order_three(self, inst):
         # with the leaf control and the pair control of Y_2 and the leaf:

@@ -22,7 +22,7 @@ class TestFieldGrid:
     def test_point_roundtrip(self, grid):
         for site in range(2):
             for s in range(8):
-                assert grid.point_pair(grid.point(site, s)) == (site, s)
+                assert divmod(grid.point(site, s), grid.n_slices) == (site, s)
 
     def test_cyclic_time_index(self, grid):
         assert grid.point(1, 9) == grid.point(1, 1)
