@@ -243,9 +243,9 @@ def cmd_cluster(cfg: dict, out_dir: Path) -> int:
             raise ConfigError(f"cluster --check residuals compares consecutive orders and "
                               f"needs order >= 2, got order = {cfg['order']}")
         _require_periodic(cfg, f"cluster --check {check}")
-        # the IBP remainder draws plain batches; residuals also draw scrambles
-        plain_only = check == "newton-leibniz"
-        _require_batches(cfg, N_BATCHES if plain_only else math.lcm(N_BATCHES, RQMC_BATCHES))
+        # R1 and the IBP remainder draw scrambles; residuals' F ratios also draw plain batches
+        _require_batches(cfg, RQMC_BATCHES if check == "newton-leibniz"
+                         else math.lcm(N_BATCHES, RQMC_BATCHES))
         p = model_params(cfg)
         mode = RodMode(cfg["mode"])
         ens = build_ensemble(p, cfg)

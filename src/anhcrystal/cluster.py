@@ -552,7 +552,7 @@ class ClusterInstance:
 
     def _bump_weight(self, bump: np.ndarray) -> np.ndarray:
         """The Gibbs weight from the per-point factors exp(-delta_m phi^2 / 2)."""
-        return np.exp(-self.grid.delta_tau * (self.ensemble.b_m * bump).sum(axis=1))
+        return np.exp(-self.gibbs_weight_coeff * bump.sum(axis=1))
 
     def _gibbs_factors(self, phi: np.ndarray, mean, var) -> tuple:
         """(e^{-V(phi)}, b, bump, E[bump]) of a block: what every control is made of.
@@ -880,14 +880,14 @@ class ClusterInstance:
         """(E_coupled - E_decoupled)[A e^-V(T)] / Z over common draws.
 
         The decoupled (cut) kernel cuts X_1 from its complement, so its end
-        E_decoupled[A e^-V(T)] / Z is the order-1 term K_1 F_1, and the
-        difference equals direct - (order-1 term) with the shared-noise part
-        cancelled sample by sample: the leading Cholesky corner is the X_1
-        block for both kernels.  Rods tile the box, so the coupled kernel is
-        the reference kernel and the mean weight of its draws is Z: the
-        residual, direct and the cut end are self-normalised ratios on the
-        same draws, with jackknife errors.  Returns (residual, stderr,
-        direct, direct_stderr, term_one, term_one_stderr).
+        E_decoupled[A e^-V(T)] / Z is the order-1 term K_1 F_1.  The normals
+        are scrambled Sobol rows, X_1's columns first, and its block leads the
+        Cholesky root of both kernels, so both ends share X_1's field row for
+        row and the difference sheds the shared noise.  Rods tile the box, so
+        the coupled kernel is the reference kernel and its rows' mean weight
+        is Z: all three are self-normalised ratios with one jackknife over the
+        scrambles.  Returns (residual, stderr, direct, direct_stderr,
+        term_one, term_one_stderr).
         """
         blocks = self.first_step_blocks
         coupled_root, cut_root = (np.linalg.cholesky(self.block_matrix(blocks, [s])[1])
@@ -898,9 +898,8 @@ class ClusterInstance:
             cut = self.weighted_observable(z @ cut_root.T)[0]
             return (coupled - cut).sum(), coupled.sum(), cut.sum(), weight.sum()
 
-        normals = plain_stream(lambda rng, n: rng.standard_normal((n, self.grid.n_points)),
-                               self.grid.n_points, seed)
-        sums = accumulate(normals, columns, n_samples)
+        sums = accumulate(scrambled_normals(n_samples, self.grid.n_points, seed), columns,
+                          n_samples)
         values, errors = jackknife(sums, lambda c: c[:3] / c[3])
         return tuple(float(x) for pair in zip(values, errors) for x in pair)
 
@@ -1037,10 +1036,10 @@ def newton_leibniz_report(instance: ClusterInstance, n_samples: int,
     by parts, E_s[D_{X_1,rest} A e^-V(T)].  ``first_step_residual`` gives
     direct, the order-1 term (the s = 0 end) and their difference R_1 on
     common draws; the remainder is computed independently by the two-point
-    operator (``i_term``) at the Gauss-Legendre nodes on draws of its own
-    (seed + 5), self-normalised by the weight of the same normals at the
-    s = 1 end, which is the reference kernel.  The identity holds when R_1
-    and that remainder agree within their independent errors.
+    operator (``i_term``) at the Gauss-Legendre nodes on scrambled Sobol
+    rows of its own (seed + 5), self-normalised by the weight of the same
+    normals at the s = 1 end, which is the reference kernel.  The identity
+    holds when R_1 and that remainder agree within their independent errors.
     """
     r1, dr1, direct, ddirect, term_one, dterm_one = instance.first_step_residual(
         n_samples, seed)
@@ -1054,9 +1053,8 @@ def newton_leibniz_report(instance: ClusterInstance, n_samples: int,
         coupled = instance.sample_block(blocks, np.array([1.0]), z)[1]
         return ibp.sum(), instance.gibbs_weight(coupled, slice(None)).sum()
 
-    normals = plain_stream(lambda rng, n: rng.standard_normal((n, instance.grid.n_points)),
-                           instance.grid.n_points, seed + 5)
-    sums = accumulate(normals, columns, n_samples)
+    sums = accumulate(scrambled_normals(n_samples, instance.grid.n_points, seed + 5), columns,
+                      n_samples)
     ibp, dibp = jackknife(sums, lambda c: c[0] / c[1])
     return SplitReport(direct=(direct, ddirect), term_one=(term_one, dterm_one),
                        remainder=(r1, dr1), remainder_ibp=(float(ibp), float(dibp)))

@@ -20,9 +20,9 @@ sampling draws phi = psi + m and weights it by exp(-dt sum V(phi)) alone:
 for every field and boundary the weight lies in (0, 1] and no log-weight can
 overflow; the MCMC runs on the same shifted reference.  One core serves
 every importance-sampling estimator and the cluster engine's Monte Carlo:
-``accumulate`` sums columns over chunks of rows of a row source, the plain
-generator stream (``plain_stream``) in N_BATCHES batches or scrambled Sobol
-rows (``scrambled_normals``) in one batch per scramble; ``jackknife`` gives
+``accumulate`` sums columns over chunks of rows of a row source, scrambled
+Sobol rows (``scrambled_normals``) one batch per scramble, or N_BATCHES of
+plain draws (``plain_stream``: two-point tables, cluster F and Z); ``jackknife`` gives
 the delete-one-batch error of any ratio of column sums, and the ESS is Kong's
 (sum w)^2 / sum w^2.  The importance-sampling means of the Gibbs claims
 (``reweight_expectation``, ``gap_estimate``, ``doubled_measure_correlation``)
@@ -406,11 +406,13 @@ _BIT = np.arange(SOBOL_BITS, dtype=np.uint32)
 
 @lru_cache(maxsize=64)
 def _sobol_directions(dim: int, m: int) -> np.ndarray:
-    """Sobol direction numbers 0..m-1, (m, dim): unscrambled point 2^(j+1) - 1 is direction j."""
+    """Sobol direction numbers 0..m-1, (m, dim): unscrambled point 2^(j+1) - 1 is
+    direction j, read by skipping from one to the next, never holding all 2^m points."""
     from scipy.stats import qmc  # its import costs most of a second, paid at first use
 
-    points = qmc.Sobol(dim, scramble=False).random_base2(m)
-    return (points[2 ** np.arange(1, m + 1) - 1] * 2 ** SOBOL_BITS).astype(np.uint32)
+    sobol = qmc.Sobol(dim, scramble=False)
+    points = [sobol.fast_forward((2 << j) - 1 - sobol.num_generated).random(1) for j in range(m)]
+    return (np.reshape(points, (m, dim)) * 2 ** SOBOL_BITS).astype(np.uint32)
 
 
 def scrambled_normals(n_samples: int, dim: int, seed: int) -> SimpleNamespace:
@@ -468,7 +470,7 @@ def scrambled_normals(n_samples: int, dim: int, seed: int) -> SimpleNamespace:
 
 def plain_stream(draw, size: int, seed: int) -> SimpleNamespace:
     """N_BATCHES batches of rows of ``size`` values, ``draw(rng, n)`` from one
-    generator seeded with ``seed`` and asked for in order."""
+    seeded generator in order: ``two_point_table``'s and the cluster F and Z draws."""
     rng = np.random.default_rng(seed)
     return SimpleNamespace(batches=N_BATCHES, size=size,
                            rows=lambda start, stop: draw(rng, stop - start))

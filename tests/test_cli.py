@@ -331,10 +331,10 @@ class TestClusterCommand:
 
 
     @pytest.mark.parametrize("check, samples, rule", [("residuals", "1050", "multiple of 100"),
-                                                     ("newton-leibniz", "1020", "multiple of 50")])
+                                                     ("newton-leibniz", "1010", "multiple of 20")])
     def test_samples_checked_before_any_order_runs(self, tmp_path, capsys, check, samples, rule):
-        # R1 and the IBP remainder draw 50 plain batches, and later orders 20
-        # scrambles too, so residuals need a multiple of 100
+        # R1 and the IBP remainder draw 20 scrambles, and the F ratios of later
+        # orders 50 plain batches too, so residuals need a multiple of 100
         out = tmp_path / "out"
         rc = main(["--out", str(out), "cluster", "--check", check, "--samples", samples])
         err = capsys.readouterr().err

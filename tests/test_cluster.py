@@ -376,6 +376,12 @@ class TestClusterTerms:
             val, err = inst.cluster_term(yseq, 2000, seed=1)
             assert val == 0.0 and err == 0.0
 
+    def test_first_step_residual_vanishes_when_free(self):
+        # the coupled and cut kernels share X_1's Cholesky corner, so at b_m = 0
+        # both ends see the same X_1 field on every row and the weight is 1
+        inst = make_instance(b_m=0.0)
+        assert inst.first_step_residual(2000, seed=1)[:2] == (0.0, 0.0)
+
     def test_order_cap_enforced(self):
         inst = make_instance()
         with pytest.raises(ValueError, match="cap"):
@@ -613,6 +619,19 @@ class TestSharedDraws:
         with pytest.raises(ValueError, match="multiple of 20"):
             scrambled_normals(1010, 3, seed=0)
 
+    def test_scrambled_set_up_memory_does_not_grow_with_rows(self):
+        # 2,000,000 rows give 2^17 rows a scramble: the direction numbers are
+        # read off 17 unscrambled Sobol points, not all 2^17 of them (34 MB)
+        scrambled_normals(20, 16, seed=1)  # scipy's one-time tables
+        sampler_module._sobol_directions.cache_clear()
+        tracemalloc.start()
+        try:
+            scrambled_normals(2_000_000, 16, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6, peak
+
     def test_gaussian_bump_mean_matches_quadrature(self):
         x, w = np.polynomial.hermite_e.hermegauss(80)
         for mean, var, delta in [(0.0, 1.0, 1.0), (0.7, 0.3, 2.5), (-1.2, 2.0, 0.4)]:
@@ -787,8 +806,13 @@ class TestPinnedOutputs:
     order 1 has no leaf and kept its values.  R2 was recorded again when its
     rest-block control took the mean-field coefficient b of the leaf's
     control in place of 1: 5.8603e-4 +- 1.53e-5 before, on the same rows,
-    0.25 of that stderr away.  R1 and the Newton-Leibniz report draw plain
-    normals and match exactly.
+    0.25 of that stderr away.  Every Gibbs weight was recorded again when
+    ``_bump_weight`` came to scale each row's sum of bumps, not every bump:
+    R2's stderr moved in its last bits.  R1 and the Newton-Leibniz report were
+    recorded again when their normals became scrambled Sobol rows, new
+    random streams: each new value lies within 1.4 of the old plain-draw
+    stderr of the old value, and the new stderrs are 0.07-0.5 of the old.
+    All of these match exactly.
     """
 
     @pytest.fixture(scope="class")
@@ -810,7 +834,7 @@ class TestPinnedOutputs:
 
     def test_second_step_residual(self, inst):
         assert inst.second_step_residual(4000, 20_017) == (0.0005898026069309495,
-                                                           1.6217492683724903e-05)
+                                                           1.621749268372495e-05)
 
     def test_order_three(self, inst):
         # with the leaf control and the pair control of Y_2 and the leaf:
@@ -821,13 +845,13 @@ class TestPinnedOutputs:
 
     def test_first_step_residual(self, inst):
         assert inst.first_step_residual(20_000, 17) == (
-            0.03275524157719668, 0.0011925922808783327, 0.8118342630623449,
-            0.00809274995033325, 0.7790790214851483, 0.007417693720809274)
+            0.031133887100017, 0.00045102244662410015, 0.8045046523933711,
+            0.0009525899535061708, 0.773370765293354, 0.0008954361417293768)
 
     def test_newton_leibniz_report(self, inst):
         rep = newton_leibniz_report(inst, 20_000, 11)
         assert (rep.direct, rep.term_one, rep.remainder, rep.remainder_ibp) == (
-            (0.8008744412639978, 0.00873313816702783),
-            (0.7689004668981337, 0.007789242680947251),
-            (0.03197397436586391, 0.0012254073827887109),
-            (0.03149279733554245, 0.000725054323469932))
+            (0.8057820312375573, 0.0006013337381659872),
+            (0.7735335450099242, 0.0006557685168263969),
+            (0.03224848622763289, 0.0006090594291329021),
+            (0.031819037250453326, 0.0002898446495889996))
