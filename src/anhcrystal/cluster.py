@@ -39,7 +39,8 @@ small, and close to e^{-V(Y_n)} where it is not, as on the CLI default box.
 The closed forms are ``gaussian_bump_mean`` and, for q_1, that times
 mean / (1 + delta_m var) (``gaussian_bump_first_moment``).  Every control of
 the engine takes this b (``_gibbs_factors``), and nothing is fitted: the
-order-2 residual's rest block too, e^{-V} + b c sum of (bump - E[bump]).
+rest block of the order-1 and order-2 residuals too, at both ends of their
+one telescoped loop, e^{-V} + b c sum of (bump - E[bump]).
 
 From order 3 on, most of what is left comes from the normals of Y_{n-1}.
 To first order in dt b_m, Y_{n-1}'s factor is X^{(k)}(phi_y) at one point,
@@ -75,9 +76,7 @@ from scipy.special import ndtr
 from .covariance import p_matrix
 from .grid import FieldGrid
 from .lattice import RodMode
-# RQMC_BATCHES and SOBOL_BITS stay importable here, where callers of the engine read them
-from .sampler import (RQMC_BATCHES, SOBOL_BITS, Ensemble, accumulate,  # noqa: F401
-                      jackknife, map_rows, plain_stream, scrambled_normals)
+from .sampler import Ensemble, accumulate, jackknife, map_rows, plain_stream, scrambled_normals
 
 MAX_TREE_ORDER = 8
 MAX_BF_ORDER = 7
@@ -238,7 +237,8 @@ class _PowerCache:
     def gaussian(self, k: int) -> np.ndarray:
         if 1 not in self.epow:
             # the expression of ClusterInstance.gibbs_weight, so the two agree bit for bit
-            self.epow[1] = np.exp(-0.5 * self.delta_m * self.power(2))
+            bump = -0.5 * self.delta_m * self.power(2)
+            self.epow[1] = np.exp(bump, out=bump)
         if k not in self.epow:
             self.epow[k] = self.epow[k - 1] * self.epow[1]
         return self.epow[k]
@@ -413,7 +413,14 @@ def gauss_legendre_unit():
 def gaussian_bump_mean(mean, var, delta_m: float):
     """E[exp(-delta_m phi^2 / 2)] for phi ~ N(mean, var), in closed form."""
     spread = 1.0 + delta_m * var
-    return np.exp(-0.5 * delta_m * mean ** 2 / spread) / np.sqrt(spread)
+    # in one array of a value per row and point: fresh ones cost more than the arithmetic
+    out = np.empty(np.broadcast_shapes(np.shape(mean), np.shape(spread)))
+    np.multiply(mean, mean, out=out)
+    out *= -0.5 * delta_m
+    out /= spread
+    np.exp(out, out=out)
+    out /= np.sqrt(spread)
+    return out[()]
 
 
 def gaussian_bump_first_moment(mean, var, delta_m: float):
@@ -541,7 +548,7 @@ class ClusterInstance:
     @cached_property
     def first_step_blocks(self) -> list[np.ndarray]:
         """[X_1, rest of the box]: the two blocks the first interpolation step cuts apart."""
-        return [self.x1_points, np.concatenate([self.rod_points[r] for r in self.free_rod_ids])]
+        return [self.x1_points, self.rod_points[list(self.free_rod_ids)].ravel()]
 
     def blocks_for(self, yseq) -> list[np.ndarray]:
         return [self.x1_points] + [self.rod_points[r] for r in yseq]
@@ -555,19 +562,21 @@ class ClusterInstance:
         return np.exp(-self.gibbs_weight_coeff * bump.sum(axis=1))
 
     def _gibbs_factors(self, phi: np.ndarray, mean, var) -> tuple:
-        """(e^{-V(phi)}, b, bump, E[bump]) of a block: what every control is made of.
+        """(e^{-V}, b, bump, c sum of (bump - E[bump])) of a block: what every control is made of.
 
         bump = exp(-delta_m phi^2 / 2) per point, E[bump] its closed-form mean
         given the normals a control conditions on (phi's conditional ``mean``
         and ``var``), and b = exp(-c sum of E[bump]), c = dt b_m, the block's
         mean-field Gibbs factor.  Each control is b times a first-order part
-        less its conditional mean: b is a function of the conditioning normals
-        only, so the mean stays zero, and b tracks e^{-V} where V is not small.
+        less its conditional mean (for a rest block, the last entry): b is a
+        function of the conditioning normals only, so the mean stays zero, and
+        b tracks e^{-V} where V is not small.
         """
-        bump = np.exp(-0.5 * self.ensemble.delta_m * phi ** 2)
-        expected = gaussian_bump_mean(mean, var, self.ensemble.delta_m)
-        return (self._bump_weight(bump), np.exp(-self.gibbs_weight_coeff * expected.sum(axis=-1)),
-                bump, expected)
+        c = self.gibbs_weight_coeff
+        bump = _PowerCache(phi, self.ensemble.delta_m).gaussian(1)
+        total = bump.sum(axis=1)
+        expected = gaussian_bump_mean(mean, var, self.ensemble.delta_m).sum(axis=-1)
+        return np.exp(-c * total), np.exp(-c * expected), bump, c * (total - expected)
 
     def block_matrix(self, blocks, s) -> tuple[np.ndarray, np.ndarray]:
         """Interpolated covariance over the union of blocks, per row of a 2-d s: (points, C)."""
@@ -592,14 +601,6 @@ class ClusterInstance:
         return chol, z @ chol.T
 
     # -- evaluators ---------------------------------------------------------
-
-    def weighted_observable(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A exp(-V), exp(-V)) per row of a field on blocks' points, X_1's leading."""
-        weight = self.gibbs_weight(phi, slice(None))
-        out = np.ones(phi.shape[0])
-        for col, power in self.x1_monomials:
-            out *= phi[:, col] ** power
-        return out * weight, weight
 
     def symbolic_integrand(self, tree: Tree, yseq) -> list[SymbolicTerm]:
         """Fully expanded derivative terms for one (tree, rod sequence)."""
@@ -877,84 +878,78 @@ class ClusterInstance:
                                         float(f_err))
 
     def first_step_residual(self, n_samples: int, seed: int) -> tuple[float, ...]:
-        """(E_coupled - E_decoupled)[A e^-V(T)] / Z over common draws.
-
-        The decoupled (cut) kernel cuts X_1 from its complement, so its end
-        E_decoupled[A e^-V(T)] / Z is the order-1 term K_1 F_1.  The normals
-        are scrambled Sobol rows, X_1's columns first, and its block leads the
-        Cholesky root of both kernels, so both ends share X_1's field row for
-        row and the difference sheds the shared noise.  Rods tile the box, so
-        the coupled kernel is the reference kernel and its rows' mean weight
-        is Z: all three are self-normalised ratios with one jackknife over the
-        scrambles.  Returns (residual, stderr, direct, direct_stderr,
-        term_one, term_one_stderr).
-        """
-        blocks = self.first_step_blocks
-        coupled_root, cut_root = (np.linalg.cholesky(self.block_matrix(blocks, [s])[1])
-                                  for s in (1.0, 0.0))
-
-        def columns(z):
-            coupled, weight = self.weighted_observable(z @ coupled_root.T)
-            cut = self.weighted_observable(z @ cut_root.T)[0]
-            return (coupled - cut).sum(), coupled.sum(), cut.sum(), weight.sum()
-
-        sums = accumulate(scrambled_normals(n_samples, self.grid.n_points, seed), columns,
-                          n_samples)
-        values, errors = jackknife(sums, lambda c: c[:3] / c[3])
-        return tuple(float(x) for pair in zip(values, errors) for x in pair)
+        """R_1 = direct - (order-1 term), ``_telescoped_residual`` at n = 1: (residual,
+        stderr, direct, direct_stderr, term_one, term_one_stderr)."""
+        return self._telescoped_residual(1, n_samples, seed)
 
     def second_step_residual(self, n_samples: int, seed: int) -> tuple[float, float]:
-        """direct - (order-1 + order-2 terms), telescoped pathwise on common draws.
+        """R_2 = direct - (order-1 + order-2 terms), ``_telescoped_residual`` at n = 2:
+        (residual, stderr)."""
+        return self._telescoped_residual(2, n_samples, seed)[:2]
 
-        The order-1 residual is sum over Y_2 of the s_1 integral of
-        E_s1[D_{X_1,Y_2} A e^-V(T)] / Z.  Cutting off the rest of the box with
-        blocks [X_1, Y_2, rest] and s = (s_1, s_2), the order-2 term is the
-        s_2 = 0 end, so the order-2 residual is (s_2 = 1 end) - (s_2 = 0 end)
-        evaluated on the same normals.  The leading Cholesky corner X_2 =
-        X_1 + Y_2 is common to both ends, so the derivative factor is shared
-        and only the rest block's Gibbs factor differs.  At both ends it takes
-        the leaf's control (``_gibbs_factors``): b c sum of (bump - E[bump]),
-        bump = exp(-delta_m phi^2 / 2), E given s_1 and the X_2 normals and b
-        the block's mean-field factor, is added, so the estimand is unchanged.
-        Normals are scrambled Sobol rows.  Z comes from the same rows drawn through
-        the root of the full kernel, so the residual is a self-normalised
-        ratio with one jackknife over the scrambles.  Every root is factored
-        once per call, and ``accumulate``'s bounded chunks keep memory flat in
-        the row count.  Returns (residual, stderr).
+    def _telescoped_residual(self, n: int, n_samples: int, seed: int) -> tuple[float, ...]:
+        """R_n = direct - (terms 1..n), n = 1 or 2: a coupled end less a cut end on common rows.
+
+        Each ordered rod sequence Y_2..Y_n (the empty one at n = 1) cuts the
+        box into blocks [X_1, Y_2, ..., Y_n, rest], with s_1..s_{n-1} on the
+        Gauss-Legendre nodes (one node of weight 1 at n = 1).  The coupled
+        end, s_n = 1, integrates to R_{n-1} (direct at n = 1), the cut end,
+        s_n = 0, to the order-n term.  Both share the Cholesky corner of
+        X_n = X_1 + Y_2 + ... + Y_n, so the order-n tree's chained derivative
+        of A e^{-V(X_n)} (``_contract``) is common to both, and only the rest
+        block's Gibbs factor differs.  At each end it takes the leaf's
+        control (``_gibbs_factors``): e^{-V(rest)} + b c sum of (bump -
+        E[bump]), E given s and X_n's normals, b the block's mean-field
+        factor.  Rows are scrambled Sobol normals; Z comes from the same rows
+        through the reference root with X_1's points first, R_1's coupled
+        root, and one jackknife over the scrambles covers the three ratios.
+        Where X_n tiles the box the rest is empty and the residual is exactly
+        0.  Every root is factored once per call.  Returns (residual, stderr,
+        coupled, stderr, cut, stderr).
         """
-        tree = Tree(parent=(1,))
+        tree, = enumerate_trees(n)  # f(eta; s) = 1 at orders 1 and 2
         nodes, weights = gauss_legendre_unit()
-        ends = []  # per Y_2: X_2's blocks and size, then (root, rest variance) cut and per node
-        for y in self.free_rod_ids:
-            rest = np.concatenate([self.rod_points[r] for r in self.free_rod_ids if r != y])
-            blocks = self.blocks_for((y,)) + [rest]
-            n2 = len(blocks[0]) + len(blocks[1])
+        grid = [(s + (1.0,), math.prod(w)) for s, w in zip(
+            itertools.product(nodes, repeat=n - 1), itertools.product(weights, repeat=n - 1))]
+        ends = []  # per sequence: X_n's blocks and size, the cut root and variance, per node
+        for yseq in itertools.permutations(self.free_rod_ids, n - 1):
+            blocks = self.blocks_for(yseq)
+            rest = self.rod_points[[r for r in self.free_rod_ids if r not in yseq]].ravel()
+            lead = sum(len(b) for b in blocks)
             cut = self.full_matrix[np.ix_(rest, rest)]
-            roots = [np.linalg.cholesky(self.block_matrix(blocks, (x, 1.0))[1]) for x in nodes]
-            ends.append((blocks[:2], n2, (np.linalg.cholesky(cut), np.diag(cut).copy()),
-                         [(c, np.sum(c[n2:, n2:] ** 2, axis=1)) for c in roots]))
-        full_root = np.linalg.cholesky(self.full_matrix)
+            roots = [np.linalg.cholesky(self.block_matrix(blocks + [rest], s)[1]) for s, _ in grid]
+            ends.append((blocks, lead, (np.linalg.cholesky(cut), np.diag(cut).copy()),
+                         [(c, np.sum(c[lead:, lead:] ** 2, axis=1), w)
+                          for c, (_, w) in zip(roots, grid)]))
+        ref_root = np.linalg.cholesky(self.block_matrix(self.first_step_blocks, (1.0,))[1])
 
-        def rest_factor(phi, mean, var):
-            weight, mean_field, bump, expected = self._gibbs_factors(phi, mean, var)
-            return weight + mean_field * self.gibbs_weight_coeff * (bump - expected).sum(axis=1)
+        def rest_factor(phi, mean, var):  # e^{-V(rest)}, and that with its control
+            weight, mean_field, _, control = self._gibbs_factors(phi, mean, var)
+            return weight, weight + mean_field * control
 
         def work(z):
-            acc = np.zeros(len(z))
-            for blocks, n2, (cut_root, cut_var), roots in ends:
-                end_cut = rest_factor(z[:, n2:] @ cut_root.T, 0.0, cut_var)
-                for (chol, var), w in zip(roots, weights):
+            out = np.zeros((len(z), 4))  # residual, coupled end, cut end, Z
+            for blocks, lead, (cut_root, cut_var), roots in ends:
+                end_cut = rest_factor(z[:, lead:] @ cut_root.T, 0.0, cut_var)[1]
+                for chol, var, w in roots:
                     phi = z @ chol.T
                     (k,), weight = self._contract([tree], blocks, phi)
-                    end = rest_factor(phi[:, n2:], z[:, :n2] @ chol[n2:, :n2].T, var)
-                    acc += w * (k * weight) * (end - end_cut)
-            return np.stack([acc, self.gibbs_weight(z @ full_root.T, slice(None))], axis=1)
+                    plain, end = rest_factor(phi[:, lead:], z[:, :lead] @ chol[lead:, :lead].T,
+                                             var)
+                    shared = w * (k * weight)
+                    out[:, 0] += shared * (end - end_cut)
+                    out[:, 1] += shared * end
+                    out[:, 2] += shared * end_cut
+            # at n = 1 the one coupled end is the reference kernel, and its weight Z's
+            out[:, 3] = weight * plain if n == 1 else self.gibbs_weight(z @ ref_root.T, slice(None))
+            return out
 
+        # a row's normals and one field: smaller chunks, whose temporaries cost less
         source = map_rows(scrambled_normals(n_samples, self.grid.n_points, seed), work,
-                          self.grid.n_points)
+                          2 * self.grid.n_points)
         sums = accumulate(source, lambda v: v.sum(axis=0), n_samples)
-        resid, dresid = jackknife(sums, lambda c: c[0] / c[1])
-        return float(resid), float(dresid)
+        values, errors = jackknife(sums, lambda c: c[:3] / c[3])
+        return tuple(float(x) for pair in zip(values, errors) for x in pair)
 
 
 @dataclass(frozen=True)
@@ -970,15 +965,14 @@ def residual_decay_report(instance: ClusterInstance, n_max: int,
                           progress=None) -> ExpansionReport:
     """Telescoped residuals |direct - partial sum| with shared-draw cancellation.
 
-    The order-1 residual R_1 is the coupled-minus-decoupled difference on
-    common draws (``first_step_residual``, ``first_step_samples`` draws), and
-    the order-1 term is the decoupled end's own ratio on those draws, with
-    its own jackknife error (direct and R_1 share the draws, so their errors
-    are not independent).
-    When a later order follows, the order-2 residual R_2 is telescoped
-    pathwise as well (``second_step_residual``, ``order_samples[2]`` draws),
-    and the order-2 contribution is reported as R_1 - R_2.  In both the
-    harmonic noise cancels sample by sample.  The last residual always
+    R_1 and, when a later order follows, R_2 are the coupled less the cut
+    end of one telescoped loop on common rows (``_telescoped_residual``).
+    R_1 (``first_step_residual``, ``first_step_samples`` rows) cuts X_1
+    from the rest, and the order-1 term is the cut end's own ratio, with its
+    own jackknife error (direct and R_1 share the rows, so their errors are
+    not independent).  R_2 (``second_step_residual``, ``order_samples[2]``
+    rows) cuts each Y_2 from the rest, and the order-2 contribution is
+    reported as R_1 - R_2.  The last residual always
     subtracts a measured contribution, R_{n-1} - s_n with s_n from
     ``order_contribution`` (``order_samples[n]`` draws), so the final
     comparison is between two independent estimators.  ``order_samples`` is

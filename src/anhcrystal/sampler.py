@@ -462,8 +462,13 @@ def scrambled_normals(n_samples: int, dim: int, seed: int) -> SimpleNamespace:
         table[:, 0] = np.bitwise_xor.reduce(directions[b:b + n_blocks, first], axis=1)
         table[:, 0] ^= shift[b:b + n_blocks]
         table[:, 1:] = directions[b:b + n_blocks, np.log2(i & -i).astype(np.intp)]
-        u = np.bitwise_xor.accumulate(table, axis=1).reshape(-1, dim) * 2.0 ** -SOBOL_BITS
-        return ndtri(0.5 + (1.0 - 1e-10) * (u - 0.5))
+        np.bitwise_xor.accumulate(table, axis=1, out=table)
+        u = table.reshape(-1, dim) * 2.0 ** -SOBOL_BITS
+        # 0.5 + (1 - 1e-10) (u - 0.5), in place: the same bits, no full-size temporaries
+        u -= 0.5
+        u *= 1.0 - 1e-10
+        u += 0.5
+        return ndtri(u, out=u)
 
     return SimpleNamespace(batches=RQMC_BATCHES, size=dim, rows=rows)
 

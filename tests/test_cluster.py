@@ -10,19 +10,18 @@ from scipy.stats import qmc
 
 from anhcrystal import sampler as sampler_module
 from anhcrystal.cli import build_ensemble
-from anhcrystal.cluster import (RQMC_BATCHES, ClusterInstance, PolyExp, SymbolicTerm,
+from anhcrystal.cluster import (ClusterInstance, PolyExp, SymbolicTerm,
                                 Tree, _PowerCache, battle_federbush_sum, block_tensor, delta_apply,
                                 derivative_ladder, enumerate_trees,
                                 evaluate_ladder, evaluate_symbolic, f_factor,
                                 gauss_legendre_unit, gaussian_bump_first_moment,
                                 gaussian_bump_mean, gaussian_bump_pair_moments,
-                                newton_leibniz_report, residual_decay_report,
-                                scrambled_normals)
+                                newton_leibniz_report, residual_decay_report)
 from anhcrystal.config import DEFAULTS, model_params
 from anhcrystal.lattice import Lattice, RodMode
 from anhcrystal.potential import nth_derivative
-from anhcrystal.sampler import (Ensemble, accumulate, jackknife, periodic_bc, plain_stream,
-                                reweight_expectation)
+from anhcrystal.sampler import (RQMC_BATCHES, Ensemble, accumulate, jackknife, periodic_bc,
+                                plain_stream, reweight_expectation, scrambled_normals)
 
 
 def make_instance(dims=(2,), beta_hat=2.0, n_slices=8, b_m=0.3, delta_m=1.0,
@@ -88,12 +87,20 @@ def quadrature_term(inst, yseq, n_samples, seed):
 
 
 def separate_pass_first_step(inst, n_samples, seed):
-    """The first-step residual over Z from a separate ``partition_weight`` pass."""
-    comp = np.concatenate([inst.rod_points[r] for r in inst.free_rod_ids])
-    blocks = [inst.x1_points, comp]
+    """The first-step residual over Z from a separate ``partition_weight`` pass.
+
+    Plain draws and the plain A e^{-V(T)} at both ends: no control, no shared Z.
+    """
+    blocks = inst.first_step_blocks
+
+    def weighted_observable(phi):
+        out = inst.gibbs_weight(phi, slice(None))
+        for col, power in inst.x1_monomials:
+            out = out * phi[:, col] ** power
+        return out
 
     def columns(z):
-        coupled, cut = (inst.weighted_observable(inst.sample_block(blocks, np.array([s]), z)[1])[0]
+        coupled, cut = (weighted_observable(inst.sample_block(blocks, np.array([s]), z)[1])
                         for s in (1.0, 0.0))
         return len(z), (coupled - cut).sum()
 
@@ -403,8 +410,9 @@ class TestClusterTerms:
         # 12 points per cluster-term row: a budget of 7000 values allows 48
         # rows, so each 100-row scramble runs in pieces of 48, 48 and 4; a
         # budget of 30,000 values allows 208 rows, which hold two whole
-        # scrambles.  R2's rows hold 16 normals, and every field, block factor
-        # and conditional mean it scores stays within the budget
+        # scrambles.  R2's rows count 32 values (16 normals and a field), and
+        # every field, block factor and conditional mean it scores stays
+        # within the budget
         inst = make_instance(b_m=0.3)
         yseq = inst.free_rod_ids[:2]
         whole = inst.cluster_term(yseq, 2000, seed=5)
@@ -454,32 +462,36 @@ class TestClusterTerms:
         assert np.all(np.abs(control.mean(axis=0)) <= 4.0 * sigma), control.mean(axis=0) / sigma
         assert np.all(sigma <= 0.01 * plain.std(axis=0)), (sigma, plain.std(axis=0))
 
-    def test_rest_control_has_zero_mean(self):
-        # R2's coupled end at one node and fixed normals of X_2 = X_1 + Y_2:
-        # the rest block's factor differs from e^{-V(rest)} by c b sum of
-        # (bump - E[bump | z_X2]), b the block's mean-field Gibbs factor, a
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rest_control_has_zero_mean(self, order):
+        # the coupled end of R_1 (blocks [X_1, rest], s = 1) and of R_2 (blocks
+        # [X_1, Y_2, rest], s = (node, 1)), at fixed normals of X_n: the rest
+        # block's factor differs from e^{-V(rest)} by b c sum of
+        # (bump - E[bump | z_Xn]), b the block's mean-field Gibbs factor, a
         # constant here, so the difference averages to zero over the rest's
-        # own normals; b = exp(-c sum of bump), read off the row's own normals,
-        # misses by about 47 sigma
+        # own normals; for R_2, b = exp(-c sum of bump), read off the row's own
+        # normals, misses by about 47 sigma
         inst = make_instance(b_m=0.3, delta_m=2.0)
-        y, *rest = inst.free_rod_ids
-        blocks = inst.blocks_for((y,)) + [np.concatenate([inst.rod_points[r] for r in rest])]
-        n2 = len(blocks[0]) + len(blocks[1])
-        node = gauss_legendre_unit()[0][5]
-        root = np.linalg.cholesky(inst.block_matrix(blocks, (node, 1.0))[1])
+        yseq = inst.free_rod_ids[:order - 1]
+        rest = [r for r in inst.free_rod_ids if r not in yseq]
+        blocks = inst.blocks_for(yseq) + [np.concatenate([inst.rod_points[r] for r in rest])]
+        lead = sum(len(b) for b in blocks[:-1])
+        s = (gauss_legendre_unit()[0][5],) * (order - 1) + (1.0,)
+        root = np.linalg.cholesky(inst.block_matrix(blocks, s)[1])
         rng = np.random.default_rng(53)
         n_rows, n_pts = 200_000, len(root)
         z = np.empty((n_rows, n_pts))
-        z[:, :n2] = rng.standard_normal(n2)
-        z[:, n2:] = rng.standard_normal((n_rows, n_pts - n2))
+        z[:, :lead] = rng.standard_normal(lead)
+        z[:, lead:] = rng.standard_normal((n_rows, n_pts - lead))
         phi = z @ root.T
-        plain, mean_field, bump, expected = inst._gibbs_factors(
-            phi[:, n2:], z[:, :n2] @ root[n2:, :n2].T, np.sum(root[n2:, n2:] ** 2, axis=1))
-        control = mean_field * inst.gibbs_weight_coeff * (bump - expected).sum(axis=1)
+        plain, mean_field, _, control = inst._gibbs_factors(
+            phi[:, lead:], z[:, :lead] @ root[lead:, :lead].T,
+            np.sum(root[lead:, lead:] ** 2, axis=1))
+        control = mean_field * control
         sigma = control.std() / math.sqrt(n_rows)
         assert abs(control.mean()) <= 4.0 * sigma, control.mean() / sigma
         assert sigma <= 0.01 * plain.std(), (sigma, plain.std())
-        np.testing.assert_array_equal(plain, inst.gibbs_weight(phi, slice(n2, None)))
+        np.testing.assert_array_equal(plain, inst.gibbs_weight(phi, slice(lead, None)))
 
     def test_pair_control_has_zero_mean(self):
         # at one s and fixed normals of X_1, entry [y, w] of the pair control is
@@ -699,6 +711,19 @@ class TestSharedDraws:
         inst = make_instance(b_m=0.0)
         assert inst.second_step_residual(2000, seed=1) == (0.0, 0.0)
 
+    def test_residuals_vanish_when_the_rods_tile_the_box(self):
+        # criterion 7's one-site box has one free rod: Y_2 leaves no rest
+        # block, so R_2 is exactly 0; with one rod per site, X_1 is the box,
+        # R_1 is exactly 0 and direct equals the order-1 term
+        inst = make_instance(dims=(1,), n_slices=16)
+        assert len(inst.free_rod_ids) == 1
+        assert inst.second_step_residual(2000, seed=1) == (0.0, 0.0)
+        inst = make_instance(dims=(1,), beta_hat=1.0)
+        assert inst.free_rod_ids == ()
+        resid, dresid, direct, ddirect, term_one, dterm_one = inst.first_step_residual(2000, 1)
+        assert (resid, dresid) == (0.0, 0.0)
+        assert (direct, ddirect) == (term_one, dterm_one) and ddirect > 0.0
+
 
 class TestExpansionIdentity:
     def test_newton_leibniz_split(self):
@@ -812,7 +837,16 @@ class TestPinnedOutputs:
     recorded again when their normals became scrambled Sobol rows, new
     random streams: each new value lies within 1.4 of the old plain-draw
     stderr of the old value, and the new stderrs are 0.07-0.5 of the old.
-    All of these match exactly.
+    R1 and R2 were recorded again when they became the n = 1 and n = 2 cases
+    of one telescoped loop: R1's rest block took the mean-field control at
+    both ends, a new estimator on the same rows, z = (new - old) / old
+    stderr of 2.22 for R1, 0.43 for direct and -0.66 for the order-1 term,
+    with R1's stderr 0.24 of the old; in the Newton-Leibniz report direct,
+    the order-1 term and R1 moved by 0.34, 0.41 and -0.11 (R1's stderr 0.15
+    of the old), and the integration-by-parts remainder kept its bits.  R2's
+    rest control now sums the bumps and their conditional means once each,
+    which moved R2 in its last bit (5.898026069309495e-4 +- 1.621749268372495e-5
+    before).  All of these match exactly.
     """
 
     @pytest.fixture(scope="class")
@@ -833,8 +867,8 @@ class TestPinnedOutputs:
         assert dk == (pytest.approx(stderr, rel=1e-12, abs=0.0) if moved else stderr)
 
     def test_second_step_residual(self, inst):
-        assert inst.second_step_residual(4000, 20_017) == (0.0005898026069309495,
-                                                           1.621749268372495e-05)
+        assert inst.second_step_residual(4000, 20_017) == (0.0005898026069309496,
+                                                           1.6217492683724964e-05)
 
     def test_order_three(self, inst):
         # with the leaf control and the pair control of Y_2 and the leaf:
@@ -845,13 +879,13 @@ class TestPinnedOutputs:
 
     def test_first_step_residual(self, inst):
         assert inst.first_step_residual(20_000, 17) == (
-            0.031133887100017, 0.00045102244662410015, 0.8045046523933711,
-            0.0009525899535061708, 0.773370765293354, 0.0008954361417293768)
+            0.03213516489892918, 0.00010666015313541852, 0.8049161841037512,
+            0.0009465054627181186, 0.7727810192048221, 0.0008445189870596982)
 
     def test_newton_leibniz_report(self, inst):
         rep = newton_leibniz_report(inst, 20_000, 11)
         assert (rep.direct, rep.term_one, rep.remainder, rep.remainder_ibp) == (
-            (0.8057820312375573, 0.0006013337381659872),
-            (0.7735335450099242, 0.0006557685168263969),
-            (0.03224848622763289, 0.0006090594291329021),
+            (0.8059867441647592, 0.00064000197670678),
+            (0.7738035586623955, 0.0005617453623363238),
+            (0.0321831855023634, 9.341629848248167e-05),
             (0.031819037250453326, 0.0002898446495889996))
