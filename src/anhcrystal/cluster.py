@@ -528,12 +528,6 @@ class ClusterInstance:
         return np.concatenate([self.rod_points[r] for r in self.x1_rod_ids])
 
     @cached_property
-    def x1_monomials(self) -> list[tuple[int, int]]:
-        """(column in ``x1_points``, power) of each observable point."""
-        column = {int(t): i for i, t in enumerate(self.x1_points)}
-        return [(column[t], power) for t, power in self.monomials.items()]
-
-    @cached_property
     def free_rod_ids(self) -> tuple[int, ...]:
         return tuple(r for r in range(len(self.rod_points)) if r not in self.x1_rod_ids)
 
@@ -578,27 +572,26 @@ class ClusterInstance:
         expected = gaussian_bump_mean(mean, var, self.ensemble.delta_m).sum(axis=-1)
         return np.exp(-c * total), np.exp(-c * expected), bump, c * (total - expected)
 
-    def block_matrix(self, blocks, s) -> tuple[np.ndarray, np.ndarray]:
-        """Interpolated covariance over the union of blocks, per row of a 2-d s: (points, C)."""
+    def block_matrix(self, blocks, s) -> np.ndarray:
+        """Interpolated covariance over the union of blocks, in block order, per row of a 2-d s."""
         pts = np.concatenate(blocks)
         labels = np.concatenate([np.full(len(b), i) for i, b in enumerate(blocks)])
         base = self.full_matrix[np.ix_(pts, pts)]
         if len(blocks) > 1:
             base = base * p_matrix(labels, s)
-        return pts, base
+        return base
 
     def sample_block(self, blocks, s, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map standard normals z (batch, n_pts) through the kernel's Cholesky root: (root, phi).
+        """Map each row of standard normals z (batch, n_pts) through its own Cholesky root,
+        that of the kernel at the same row of the 2-d s: (roots, phi).
 
         The interpolated kernel is positive definite for s in [0, 1] (a convex
         mix of block restrictions of a positive definite kernel), and the
         Cholesky factor varies smoothly in s, so common z keep estimates
-        smooth in s.  A 2-d s gives each row of z its own root.
+        smooth in s.
         """
-        chol = np.linalg.cholesky(self.block_matrix(blocks, s)[1])
-        if chol.ndim == 3:
-            return chol, np.matmul(chol, z[:, :, None])[:, :, 0]
-        return chol, z @ chol.T
+        chol = np.linalg.cholesky(self.block_matrix(blocks, s))
+        return chol, np.matmul(chol, z[:, :, None])[:, :, 0]
 
     # -- evaluators ---------------------------------------------------------
 
@@ -706,10 +699,10 @@ class ClusterInstance:
 
     # -- Monte Carlo layers ---------------------------------------------------
 
-    def i_term(self, tree: Tree, blocks, s, z: np.ndarray) -> np.ndarray:
-        """Per-sample integrand of I_n on ``blocks`` (X_1 first) at s, on common draws z."""
-        _, phi = self.sample_block(blocks, s, z)
-        (k,), weight = self._contract([tree], blocks, phi)
+    def i_term(self, tree: Tree, blocks, root: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Per-sample integrand of I_n on ``blocks`` (X_1 first) at the s whose kernel has the
+        Cholesky root ``root``, on common draws z."""
+        (k,), weight = self._contract([tree], blocks, z @ root.T)
         return k * weight
 
     def cluster_term(self, yseq, n_samples: int, seed: int) -> tuple[float, float]:
@@ -827,35 +820,33 @@ class ClusterInstance:
 
         Column 0 sums the weight exp(-V) of the whole box, column j + 1 the
         weight of the complement of X_1 and yseqs[j], over one set of
-        reference draws.  F_j is column j + 1 over column 0, and since all
-        ratios share the draws, ``jackknife`` of any combination of them,
-        such as ``lambda c: k @ c[1:] / c[0]``, carries their correlation.
+        reference draws.  Every complement is a union of rods, so each row's
+        bumps exp(-delta_m phi^2 / 2) are summed once per rod, and column j
+        sums exp(-c (rod sums) . member[j]), c = dt b_m, with member the 0/1
+        rows of the rods each column keeps.  An empty complement weighs 1, so
+        its column counts the rows.  F_j is column j + 1 over column 0, and
+        since all ratios share the draws, ``jackknife`` of any combination of
+        them, such as ``lambda c: k @ c[1:] / c[0]``, carries their correlation.
         """
-        comps = []
-        for yseq in yseqs:
-            keep = set(self.x1_rod_ids) | set(yseq)
-            comp = [self.rod_points[r] for r in range(len(self.rod_points)) if r not in keep]
-            comps.append(np.concatenate(comp) if comp else None)
-        all_pts = np.arange(self.grid.n_points)
+        member = np.ones((len(yseqs) + 1, len(self.rod_points)))
+        for j, yseq in enumerate(yseqs, 1):
+            member[j, list(self.x1_rod_ids) + list(yseq)] = 0.0
+        shape, half = self.rod_points.shape, -0.5 * self.ensemble.delta_m
+        exponent = -self.gibbs_weight_coeff * member.T
 
         def columns(phi):
-            flat = phi.reshape(len(phi), -1)
-            return [self.gibbs_weight(flat, all_pts).sum()] + [
-                self.gibbs_weight(flat, pts).sum() if pts is not None else float(len(flat))
-                for pts in comps]
+            bump = np.exp(half * phi.reshape(len(phi), *shape) ** 2)
+            return np.exp(bump.sum(axis=2) @ exponent).sum(axis=0)
 
         fields = plain_stream(self.ensemble.sampler.sample, self.grid.n_points, seed)
         return accumulate(fields, columns, n_samples)
 
     def partition_weight(self, n_samples: int, seed: int) -> tuple[float, float]:
-        """Z = E[exp(-V(T))] under the reference measure, with jackknife stderr."""
-        all_pts = np.arange(self.grid.n_points)
-
-        def columns(phi):
-            return len(phi), self.gibbs_weight(phi.reshape(len(phi), -1), all_pts).sum()
-
-        fields = plain_stream(self.ensemble.sampler.sample, self.grid.n_points, seed)
-        z, dz = jackknife(accumulate(fields, columns, n_samples), lambda c: c[1] / c[0])
+        """Z = E[exp(-V(T))] under the reference measure, with jackknife stderr: the whole
+        box's column of ``ratio_table`` over that of the sequence taking every free rod,
+        whose empty complement counts the rows."""
+        sums = self.ratio_table([self.free_rod_ids], n_samples, seed)
+        z, dz = jackknife(sums, lambda c: c[0] / c[1])
         return float(z), float(dz)
 
     def order_contribution(self, n: int, n_samples: int, seed: int) -> tuple[float, float]:
@@ -917,11 +908,12 @@ class ClusterInstance:
             rest = self.rod_points[[r for r in self.free_rod_ids if r not in yseq]].ravel()
             lead = sum(len(b) for b in blocks)
             cut = self.full_matrix[np.ix_(rest, rest)]
-            roots = [np.linalg.cholesky(self.block_matrix(blocks + [rest], s)[1]) for s, _ in grid]
+            roots = [np.linalg.cholesky(self.block_matrix(blocks + [rest], s)) for s, _ in grid]
             ends.append((blocks, lead, (np.linalg.cholesky(cut), np.diag(cut).copy()),
                          [(c, np.sum(c[lead:, lead:] ** 2, axis=1), w)
                           for c, (_, w) in zip(roots, grid)]))
-        ref_root = np.linalg.cholesky(self.block_matrix(self.first_step_blocks, (1.0,))[1])
+        if n == 2:
+            ref_root = np.linalg.cholesky(self.block_matrix(self.first_step_blocks, (1.0,)))
 
         def rest_factor(phi, mean, var):  # e^{-V(rest)}, and that with its control
             weight, mean_field, _, control = self._gibbs_factors(phi, mean, var)
@@ -1032,20 +1024,20 @@ def newton_leibniz_report(instance: ClusterInstance, n_samples: int,
     common draws; the remainder is computed independently by the two-point
     operator (``i_term``) at the Gauss-Legendre nodes on scrambled Sobol
     rows of its own (seed + 5), self-normalised by the weight of the same
-    normals at the s = 1 end, which is the reference kernel.  The identity
-    holds when R_1 and that remainder agree within their independent errors.
+    normals at the s = 1 end, which is the reference kernel.  Each node's
+    root and the s = 1 root are factored once per call.  The identity holds
+    when R_1 and that remainder agree within their independent errors.
     """
     r1, dr1, direct, ddirect, term_one, dterm_one = instance.first_step_residual(
         n_samples, seed)
     tree = Tree(parent=(1,))
     blocks = instance.first_step_blocks
     nodes, weights = gauss_legendre_unit()
+    roots = [np.linalg.cholesky(instance.block_matrix(blocks, (s,))) for s in (*nodes, 1.0)]
 
     def columns(z):
-        ibp = sum(w * instance.i_term(tree, blocks, np.array([x]), z)
-                  for x, w in zip(nodes, weights))
-        coupled = instance.sample_block(blocks, np.array([1.0]), z)[1]
-        return ibp.sum(), instance.gibbs_weight(coupled, slice(None)).sum()
+        ibp = sum(w * instance.i_term(tree, blocks, root, z) for root, w in zip(roots, weights))
+        return ibp.sum(), instance.gibbs_weight(z @ roots[-1].T, slice(None)).sum()
 
     sums = accumulate(scrambled_normals(n_samples, instance.grid.n_points, seed + 5), columns,
                       n_samples)

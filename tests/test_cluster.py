@@ -66,6 +66,26 @@ def term_by_term(terms, phi_flat, monomials):
     return total
 
 
+def per_point_ratio_table(inst, yseqs, n_samples, seed):
+    """Reference for ``ratio_table``: each complement's points gathered and their Gibbs
+    weight summed afresh on every row, an empty complement counting the rows."""
+    comps = []
+    for yseq in yseqs:
+        keep = set(inst.x1_rod_ids) | set(yseq)
+        comp = [inst.rod_points[r] for r in range(len(inst.rod_points)) if r not in keep]
+        comps.append(np.concatenate(comp) if comp else None)
+    all_pts = np.arange(inst.grid.n_points)
+
+    def columns(phi):
+        flat = phi.reshape(len(phi), -1)
+        return [inst.gibbs_weight(flat, all_pts).sum()] + [
+            inst.gibbs_weight(flat, pts).sum() if pts is not None else float(len(flat))
+            for pts in comps]
+
+    fields = plain_stream(inst.ensemble.sampler.sample, inst.grid.n_points, seed)
+    return accumulate(fields, columns, n_samples)
+
+
 def quadrature_term(inst, yseq, n_samples, seed):
     """K of one rod sequence on the 8^(n-1) Gauss-Legendre grid over s.
 
@@ -80,8 +100,9 @@ def quadrature_term(inst, yseq, n_samples, seed):
     for combo in itertools.product(range(len(nodes)), repeat=n - 1):
         s = nodes[list(combo)]
         w = float(np.prod(weights[list(combo)]))
+        root = np.linalg.cholesky(inst.block_matrix(blocks, s))
         for tree in enumerate_trees(n):
-            acc += w * f_factor(tree, s) * inst.i_term(tree, blocks, s, z)
+            acc += w * f_factor(tree, s) * inst.i_term(tree, blocks, root, z)
     means = acc.reshape(RQMC_BATCHES, -1).mean(axis=1)
     return float(means.mean()), float(means.std(ddof=1) / math.sqrt(RQMC_BATCHES))
 
@@ -92,16 +113,17 @@ def separate_pass_first_step(inst, n_samples, seed):
     Plain draws and the plain A e^{-V(T)} at both ends: no control, no shared Z.
     """
     blocks = inst.first_step_blocks
+    roots = [np.linalg.cholesky(inst.block_matrix(blocks, (s,))) for s in (1.0, 0.0)]
+    column = {int(t): i for i, t in enumerate(inst.x1_points)}  # X_1's points come first
 
     def weighted_observable(phi):
         out = inst.gibbs_weight(phi, slice(None))
-        for col, power in inst.x1_monomials:
-            out = out * phi[:, col] ** power
+        for t, power in inst.monomials.items():
+            out = out * phi[:, column[t]] ** power
         return out
 
     def columns(z):
-        coupled, cut = (weighted_observable(inst.sample_block(blocks, np.array([s]), z)[1])
-                        for s in (1.0, 0.0))
+        coupled, cut = (weighted_observable(z @ root.T) for root in roots)
         return len(z), (coupled - cut).sum()
 
     def draw(rng, n):
@@ -446,7 +468,7 @@ class TestClusterTerms:
         inst = make_instance(b_m=0.3, delta_m=2.0)
         blocks = inst.blocks_for(inst.free_rod_ids[:2])
         lead = len(blocks[0]) + len(blocks[1])
-        root = np.linalg.cholesky(inst.block_matrix(blocks, np.array([[0.9, 0.9]]))[1][0])
+        root = np.linalg.cholesky(inst.block_matrix(blocks, np.array([[0.9, 0.9]]))[0])
         rng = np.random.default_rng(41)
         n_rows, n_pts = 200_000, len(root)
         z = np.empty((n_rows, n_pts))
@@ -477,7 +499,7 @@ class TestClusterTerms:
         blocks = inst.blocks_for(yseq) + [np.concatenate([inst.rod_points[r] for r in rest])]
         lead = sum(len(b) for b in blocks[:-1])
         s = (gauss_legendre_unit()[0][5],) * (order - 1) + (1.0,)
-        root = np.linalg.cholesky(inst.block_matrix(blocks, s)[1])
+        root = np.linalg.cholesky(inst.block_matrix(blocks, s))
         rng = np.random.default_rng(53)
         n_rows, n_pts = 200_000, len(root)
         z = np.empty((n_rows, n_pts))
@@ -504,7 +526,7 @@ class TestClusterTerms:
         inst = make_instance(b_m=0.3, delta_m=2.0, J=1.0)
         blocks = inst.blocks_for(inst.free_rod_ids[:2])
         mid, lead = len(blocks[0]), len(blocks[0]) + len(blocks[1])
-        root = np.linalg.cholesky(inst.block_matrix(blocks, np.array([[0.9, 0.9]]))[1][0])
+        root = np.linalg.cholesky(inst.block_matrix(blocks, np.array([[0.9, 0.9]]))[0])
         rng = np.random.default_rng(43)
         n_rows, n_pts = 200_000, len(root)
         z = np.empty((n_rows, n_pts))
@@ -585,6 +607,24 @@ class TestClusterTerms:
         sums = inst.ratio_table([(inst.free_rod_ids[0],)], 2000, seed=2)
         ratio, err = jackknife(sums, lambda c: c[1] / c[0])
         assert ratio == 1.0 and err == 0.0
+
+    @pytest.mark.parametrize("box", ["low-temperature", "three-column"])
+    def test_ratio_table_matches_per_point_sums(self, box):
+        # every rod sequence of every length on criterion 8's box and on the
+        # three-column box; the last takes every free rod, so its column is
+        # the row count
+        if box == "low-temperature":
+            inst = make_instance(a=0.5, J=0.5, b_m=0.1, delta_m=5.0)
+        else:
+            inst = make_instance(dims=(3,), beta_hat=0.2, n_slices=4, tau=0.05,
+                                 mode=RodMode.HIGH_TEMPERATURE)
+        free = inst.free_rod_ids
+        yseqs = [y for n in range(len(free) + 1) for y in itertools.permutations(free, n)]
+        got = inst.ratio_table(yseqs, 2000, seed=6)
+        want = per_point_ratio_table(inst, yseqs, 2000, seed=6)
+        assert got.shape == want.shape == (50, len(yseqs) + 1)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.all(got[:, -1] == want[:, -1])
 
     def test_ratio_f_bounds(self):
         inst = make_instance(b_m=0.5, dims=(2,), beta_hat=2.0)
